@@ -12,7 +12,6 @@ from antiramsey import (
     Cycle,
     Matching,
     TriplePath,
-    color_count,
     exact_ar,
     is_rainbow_free,
     max_rainbow_free,
@@ -35,7 +34,7 @@ print(f"  K5 vs triangle: {result.max_rainbow_free_colors} colors max, "
 print("  the witness coloring, certified rainbow-free:")
 print("   ", serialize_coloring(result.witness).replace("\n", "\n    ").rstrip())
 assert is_rainbow_free(result.witness, Cycle(3))
-assert color_count(result.witness) == result.max_rainbow_free_colors
+assert result.witness.num_colors == result.max_rainbow_free_colors
 
 banner("Search vs closed form over a range")
 report = verify_range(Cycle(3), 3, 6)

@@ -19,7 +19,6 @@ from antiramsey import (
     Union,
     build_pattern,
     clique_coloring,
-    color_count,
     cover_coloring,
     cover_lower_bound,
     find_rainbow,
@@ -57,10 +56,10 @@ g = build_pattern(pattern)
 print(f"  target pattern: two disjoint 2-edge paths, q_{s} = {q_cover(g, s).value} > {r1}")
 coloring = cover_coloring(n, r1, s)
 print(f"  cover_coloring(n={n}, cover={r1}, inner={s}) uses "
-      f"{color_count(coloring)} colors "
+      f"{coloring.num_colors} colors "
       f"(= formula value {cover_lower_bound(n, r1, s)})")
 print(f"  complete search finds a rainbow copy: {find_rainbow(coloring, pattern)}")
-print(f"  so AR({n}, 2P3) >= {color_count(coloring) + 1}")
+print(f"  so AR({n}, 2P3) >= {coloring.num_colors + 1}")
 
 banner("The small-host construction for disjoint triples")
 # distinctly color a clique on 3k-2 vertices, one shared color elsewhere:
@@ -68,7 +67,7 @@ banner("The small-host construction for disjoint triples")
 for k, n in [(2, 10), (3, 12)]:
     coloring = clique_coloring(n, 3 * k - 2)
     free = is_rainbow_free(coloring, TriplePath(k))
-    print(f"  k={k}, n={n}: {color_count(coloring)} colors, "
+    print(f"  k={k}, n={n}: {coloring.num_colors} colors, "
           f"rainbow-free for {k}P3: {free}")
 
 banner("Colorings serialize to a reproducible text format")

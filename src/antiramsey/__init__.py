@@ -14,7 +14,7 @@ from .colorings import (
     parse_coloring,
     serialize_coloring,
 )
-from .constructions import clique_coloring, color_count, cover_coloring
+from .constructions import clique_coloring, cover_coloring
 from .formulas import (
     BoundReport,
     TransferBound,
@@ -44,7 +44,6 @@ from .graphs import (
     TriplePath,
     Union,
     build_pattern,
-    degree_profile,
     disjoint_union,
     family_name,
     parse_family,
@@ -72,8 +71,8 @@ __all__ = [
     "TriplePath", "Union", "UnrecognizedFamilyError",
     "all_distinct", "all_edges", "ar_cycle", "ar_family", "ar_matching",
     "ar_path", "build_pattern", "check_embedding", "clique_coloring",
-    "color_count", "cover_by_counting", "cover_coloring", "cover_lower_bound",
-    "cycle_matching_bounds", "degree_profile", "disjoint_union", "edge_index",
+    "cover_by_counting", "cover_coloring", "cover_lower_bound",
+    "cycle_matching_bounds", "disjoint_union", "edge_index",
     "exact_ar", "family_name", "find_rainbow", "integer_bounds",
     "is_rainbow_free", "linear_form", "matching_step_threshold",
     "max_rainbow_free", "monochromatic", "parse_coloring", "parse_family",

@@ -2,7 +2,7 @@
 
 Subcommands: formula, qcover, construct, rainbow, oracle, verify.  Human
 logs go to stderr only; stdout carries a single JSON document so outputs are
-byte-stable (pass --no-meta to also drop timing fields).
+byte-stable.  Only ``oracle`` emits a timing field; its --no-meta drops it.
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible host or
 exhausted search budget.
@@ -15,7 +15,7 @@ import json
 import sys
 
 from .colorings import parse_coloring, serialize_coloring
-from .constructions import clique_coloring, color_count, cover_coloring
+from .constructions import clique_coloring, cover_coloring
 from .formulas import UnrecognizedFamilyError, ar_family
 from .graphs import Graph, build_pattern, parse_family, parse_graph
 from .oracle import HARD_CEILING, max_rainbow_free, verify_range
@@ -84,7 +84,7 @@ def _cmd_construct(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     _emit({"mode": args.mode, "n": args.n,
-           "colors": color_count(coloring), "out": args.out})
+           "colors": coloring.num_colors, "out": args.out})
     return 0
 
 
@@ -133,7 +133,6 @@ def main(argv=None) -> int:
                    help="family text, e.g. P5, C4, 3P2, C3+2P2")
     p.add_argument("--n", type=int)
     p.add_argument("--grid", help="evaluate over a range, e.g. 10..20")
-    p.add_argument("--no-meta", action="store_true")
     p.set_defaults(func=_cmd_formula)
 
     p = sub.add_parser("qcover", help="minimum vertices incident with all but <= j edges")
@@ -141,7 +140,6 @@ def main(argv=None) -> int:
     src.add_argument("--family")
     src.add_argument("--graph", help="edge-list file")
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--no-meta", action="store_true")
     p.set_defaults(func=_cmd_qcover)
 
     p = sub.add_parser("construct", help="emit an extremal coloring file")
@@ -151,7 +149,6 @@ def main(argv=None) -> int:
     p.add_argument("--s", type=int, help="inner color count (lemma mode)")
     p.add_argument("--m", type=int, help="clique size (clique mode)")
     p.add_argument("--out", required=True, help="output coloring file")
-    p.add_argument("--no-meta", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("rainbow", help="search a coloring for a rainbow pattern copy")
@@ -159,16 +156,14 @@ def main(argv=None) -> int:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--family")
     src.add_argument("--graph", help="edge-list file")
-    p.add_argument("--no-meta", action="store_true")
     p.set_defaults(func=_cmd_rainbow)
 
     p = sub.add_parser("oracle", help="exact anti-Ramsey value by exhaustive search")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, help="node budget (default: unlimited, capped host)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count; results are identical for any value")
-    p.add_argument("--no-meta", action="store_true")
+    p.add_argument("--no-meta", action="store_true",
+                   help="drop the timing field for byte-stable output")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="oracle vs closed form over an n range")
@@ -176,13 +171,9 @@ def main(argv=None) -> int:
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--budget", type=int)
-    p.add_argument("--no-meta", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
     try:
         return args.func(args)
     except (UnrecognizedFamilyError, ValueError, OSError) as exc:

@@ -75,8 +75,3 @@ def clique_coloring(n: int, clique_size: int) -> EdgeColoring:
         else:
             colors.append(shared)
     return EdgeColoring(n, tuple(colors))
-
-
-def color_count(coloring: EdgeColoring) -> int:
-    """Number of distinct color ids (colorings are surjective)."""
-    return coloring.num_colors

@@ -24,7 +24,7 @@ n (``matching_step_threshold`` / ``triples_step_threshold``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, comb, floor
 
@@ -340,10 +340,6 @@ def _recognize(spec: PatternSpec):
     raise UnrecognizedFamilyError("pattern has no edges")
 
 
-def _trivial_exact(spec, n, value: int, tag: str) -> BoundReport:
-    return _exact_report(spec, n, Fraction(value), True, [tag])
-
-
 def path_matching_bounds(n: int, k: int, t: int) -> BoundReport:
     """Bound pair for a path with ``k >= 4`` edges plus ``t >= 0`` extra edges.
 
@@ -417,15 +413,13 @@ def ar_family(n: int, spec: PatternSpec) -> BoundReport:
     if kind == "matching":
         t = shape[1]
         if t == 1:
-            return _trivial_exact(spec, n, 1, "single-edge-trivial")
-        rep = ar_matching(n, t)
-        return BoundReport(spec, n, rep.lower, rep.upper, rep.exact,
-                           rep.valid, rep.provenance)
+            return _exact_report(spec, n, Fraction(1), True, ["single-edge-trivial"])
+        return replace(ar_matching(n, t), family=spec)
 
     if kind == "path":
         k = shape[1]
         if k == 1:
-            return _trivial_exact(spec, n, 1, "single-edge-trivial")
+            return _exact_report(spec, n, Fraction(1), True, ["single-edge-trivial"])
         return ar_path(n, k)
 
     if kind == "cycle":
@@ -434,7 +428,7 @@ def ar_family(n: int, spec: PatternSpec) -> BoundReport:
     if kind == "triples":
         k = shape[1]
         if k == 1:
-            return _trivial_exact(spec, n, 2, "two-edge-path-trivial")
+            return _exact_report(spec, n, Fraction(2), True, ["two-edge-path-trivial"])
         value = linear_form(k - 1, n) + 2
         clique_lower = (k - 1) * (Fraction(9, 2) * k - 3) + 2
         tags = ["triples-equality"]
@@ -449,9 +443,7 @@ def ar_family(n: int, spec: PatternSpec) -> BoundReport:
             window = n > Fraction(5, 2) * t + Fraction(23, 2)
             return _exact_report(spec, n, linear_form(t, n) + 2, window,
                                  ["p4+matching-equality"])
-        rep = path_matching_bounds(n, k, t)
-        return BoundReport(spec, n, rep.lower, rep.upper, rep.exact,
-                           rep.valid, rep.provenance)
+        return replace(path_matching_bounds(n, k, t), family=spec)
 
     if kind == "cycle+matching":
         k, t = shape[1], shape[2]
@@ -459,9 +451,7 @@ def ar_family(n: int, spec: PatternSpec) -> BoundReport:
             window = n > Fraction(5, 2) * t + 6
             return _exact_report(spec, n, linear_form(t, n) + 2, window,
                                  ["c3+matching-equality"])
-        rep = cycle_matching_bounds(n, k, t)
-        return BoundReport(spec, n, rep.lower, rep.upper, rep.exact,
-                           rep.valid, rep.provenance)
+        return replace(cycle_matching_bounds(n, k, t), family=spec)
 
     if kind == "matching+triples":
         t, k = shape[1], shape[2]

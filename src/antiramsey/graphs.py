@@ -70,11 +70,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
 
-def degree_profile(g: Graph) -> list[int]:
-    """Degree of every vertex, indexed by vertex id."""
-    return g.degrees()
-
-
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Place ``b`` after ``a`` on consecutive vertex blocks."""
     shifted = {(u + a.n, v + a.n) for u, v in b.edges}

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import permutations
 
 from .colorings import EdgeColoring, edge_index
 from .formulas import UnrecognizedFamilyError, ar_family
@@ -91,26 +92,10 @@ def _placement_buckets(n: int, g: Graph) -> list[list[tuple[int, ...]]]:
     caller checks).
     """
     pverts = [v for v in range(g.n) if any(v in e for e in g.edges)]
-    pedges = g.edge_list
-    mapping: dict[int, int] = {}
-    used = [False] * n
-    edge_sets: set[frozenset[int]] = set()
-
-    def rec(i: int) -> None:
-        if i == len(pverts):
-            edge_sets.add(frozenset(
-                edge_index(n, mapping[u], mapping[v]) for u, v in pedges))
-            return
-        v = pverts[i]
-        for h in range(n):
-            if not used[h]:
-                used[h] = True
-                mapping[v] = h
-                rec(i + 1)
-                used[h] = False
-        mapping.pop(v, None)
-
-    rec(0)
+    pos = {v: i for i, v in enumerate(pverts)}
+    pedges = [(pos[u], pos[v]) for u, v in g.edge_list]
+    edge_sets = {frozenset(edge_index(n, image[a], image[b]) for a, b in pedges)
+                 for image in permutations(range(n), len(pverts))}
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n * (n - 1) // 2)]
     for es in edge_sets:
         ranks = tuple(sorted(es))
@@ -121,14 +106,20 @@ def _placement_buckets(n: int, g: Graph) -> list[list[tuple[int, ...]]]:
 PROGRESS_INTERVAL = 1_000_000
 
 
+def _check_budget(node_budget: int | None) -> None:
+    if node_budget is not None and node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {node_budget}")
+
+
 def max_rainbow_free(n: int, pattern: Graph | PatternSpec,
                      node_budget: int | None = None,
                      on_progress=None) -> OracleResult:
     """Maximum color count over rainbow-free colorings of K_n, with witness.
 
-    Raises ValueError for hosts above the feasibility ceiling.  If the node
-    budget runs out the result is returned with ``conclusive=False`` and
-    ``ar_exact=None``; the color count is then only a lower bound.
+    Raises ValueError for hosts above the feasibility ceiling and for a node
+    budget below 1.  If the node budget runs out the result is returned with
+    ``conclusive=False`` and ``ar_exact=None``; the color count is then only
+    a lower bound, and ``nodes_explored`` equals the budget.
     ``on_progress(nodes, best)`` is called every PROGRESS_INTERVAL nodes so
     callers can log liveness without touching the result.
     """
@@ -140,11 +131,15 @@ def max_rainbow_free(n: int, pattern: Graph | PatternSpec,
     if n > HARD_CEILING:
         raise ValueError(
             f"n={n} beyond the exhaustive-search ceiling ({HARD_CEILING})")
+    _check_budget(node_budget)
     if n == HARD_CEILING and node_budget is None:
         node_budget = DEFAULT_BUDGET_N7
 
     m = n * (n - 1) // 2
     buckets = _placement_buckets(n, g)
+    # color ids tried at a node with cmax colors open: fresh first, then reuse
+    orders = [(c, *range(c)) for c in range(m + 1)]
+    limit = -1 if node_budget is None else node_budget  # nodes never reaches -1
     color = [0] * m
     best = 0
     best_colors: list[int] | None = None
@@ -154,8 +149,6 @@ def max_rainbow_free(n: int, pattern: Graph | PatternSpec,
 
     def rec(i: int, cmax: int) -> None:
         nonlocal best, best_colors, nodes, budget_hit
-        if budget_hit:
-            return
         if i == m:
             if cmax > best:
                 best = cmax
@@ -164,15 +157,22 @@ def max_rainbow_free(n: int, pattern: Graph | PatternSpec,
         rem = m - i - 1
         bucket = buckets[i]
         col = color
-        # fresh color first, then existing ids ascending
-        if cmax + 1 + rem > best:
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
+        for c in orders[cmax]:
+            if c == cmax:  # fresh color; if its bound fails, so does reuse
+                if cmax + 1 + rem <= best:
+                    return
+                nxt = cmax + 1
+            elif not c:  # first reused id, after the fresh subtree has run
+                if cmax + rem <= best:
+                    return
+                nxt = cmax
+            if nodes == limit:
                 budget_hit = True
                 return
+            nodes += 1
             if on_progress is not None and nodes % PROGRESS_INTERVAL == 0:
                 on_progress(nodes, best)
-            col[i] = cmax
+            col[i] = c
             for emb in bucket:
                 mask = 0
                 for e in emb:
@@ -183,29 +183,7 @@ def max_rainbow_free(n: int, pattern: Graph | PatternSpec,
                 else:
                     break  # rainbow copy completed: prune
             else:
-                rec(i + 1, cmax + 1)
-        if cmax + rem > best:
-            for c in range(cmax):
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    budget_hit = True
-                    return
-                if on_progress is not None and nodes % PROGRESS_INTERVAL == 0:
-                    on_progress(nodes, best)
-                col[i] = c
-                for emb in bucket:
-                    mask = 0
-                    for e in emb:
-                        b = 1 << col[e]
-                        if mask & b:
-                            break
-                        mask |= b
-                    else:
-                        break
-                else:
-                    rec(i + 1, cmax)
-                if budget_hit:
-                    return
+                rec(i + 1, nxt)
 
     rec(0, 0)
     elapsed = time.perf_counter() - start
@@ -283,6 +261,7 @@ def verify_range(spec: PatternSpec, n_from: int, n_to: int,
     must stay empty).  Values outside validity windows are recorded as data.
     Hosts beyond the feasibility ceiling are reported as skipped.
     """
+    _check_budget(node_budget)
     g = build_pattern(spec)
     rows = []
     mismatches = []

@@ -19,7 +19,6 @@ from antiramsey import (
     ar_cycle,
     ar_family,
     build_pattern,
-    color_count,
     cover_coloring,
     cover_lower_bound,
     cycle_matching_bounds,
@@ -143,7 +142,7 @@ def test_criterion_5_cover_colorings_are_rainbow_free():
         assert q_cover(g, s).value > r1, (spec, r1, s)  # construction hypothesis
         for n in range(g.n, 13):
             coloring = cover_coloring(n, r1, s)
-            assert color_count(coloring) == cover_lower_bound(n, r1, s), (spec, n)
+            assert coloring.num_colors == cover_lower_bound(n, r1, s), (spec, n)
             assert is_rainbow_free(coloring, g), (spec, r1, s, n)
             checked += 1
     assert checked > 250

@@ -138,6 +138,14 @@ class TestOracle:
         assert js["conclusive"] is False
         assert js["ar_exact"] is None
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_bad_budget_exits_one(self, capsys, budget):
+        code, out, err = run(capsys, "oracle", "--family", "C3", "--n", "5",
+                             "--budget", budget)
+        assert code == 1
+        assert out == ""
+        assert "budget" in err
+
     def test_infeasible_host_exits_two(self, capsys):
         code, _out, err = run(capsys, "oracle", "--family", "C3", "--n", "9")
         assert code == 2
@@ -160,6 +168,14 @@ class TestVerify:
         assert js["mismatches"] == []
         assert [r["ar_oracle"] for r in js["rows"]] == [3, 4, 5]
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_bad_budget_exits_one(self, capsys, budget):
+        code, out, err = run(capsys, "verify", "--family", "C3",
+                             "--n-from", "3", "--n-to", "5", "--budget", budget)
+        assert code == 1
+        assert out == ""
+        assert "budget" in err
+
 
 class TestPlumbing:
     def test_stdout_is_single_json_document(self, capsys):
@@ -173,14 +189,4 @@ class TestPlumbing:
 
     def test_bad_grid_exits_one(self, capsys):
         code, _out, _err = run(capsys, "formula", "--family", "C3", "--grid", "3-6")
-        assert code == 1
-
-    def test_threads_flag_accepted(self, capsys):
-        js = run_json(capsys, "oracle", "--family", "2P2", "--n", "5",
-                      "--threads", "4", "--no-meta")
-        assert js["ar_exact"] == 2
-
-    def test_bad_threads_rejected(self, capsys):
-        code, _out, _err = run(capsys, "oracle", "--family", "2P2", "--n", "5",
-                               "--threads", "0")
         assert code == 1

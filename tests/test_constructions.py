@@ -10,7 +10,6 @@ from antiramsey import (
     Union,
     build_pattern,
     clique_coloring,
-    color_count,
     cover_coloring,
     cover_lower_bound,
     disjoint_union,
@@ -22,9 +21,9 @@ from antiramsey import (
 
 class TestCoverColoring:
     def test_pinned_color_counts(self):
-        assert color_count(cover_coloring(11, 1, 1)) == 11
-        assert color_count(cover_coloring(5, 0, 3)) == 3
-        assert color_count(cover_coloring(12, 2, 1)) == 22
+        assert cover_coloring(11, 1, 1).num_colors == 11
+        assert cover_coloring(5, 0, 3).num_colors == 3
+        assert cover_coloring(12, 2, 1).num_colors == 22
 
     def test_count_matches_formula_on_grid(self):
         for r1 in range(0, 7):
@@ -32,7 +31,7 @@ class TestCoverColoring:
                 for n in range(r1 + 1, 31):
                     if (n - r1) * (n - r1 - 1) // 2 < s:
                         continue
-                    got = color_count(cover_coloring(n, r1, s))
+                    got = cover_coloring(n, r1, s).num_colors
                     assert got == cover_lower_bound(n, r1, s), (n, r1, s)
 
     def test_all_inner_colors_used(self):
@@ -54,7 +53,7 @@ class TestCoverColoring:
         assert a.startswith("10 20\n0 1 3\n0 2 4\n")
 
     def test_monochromatic_degenerate(self):
-        assert color_count(cover_coloring(5, 0, 1)) == 1
+        assert cover_coloring(5, 0, 1).num_colors == 1
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -71,11 +70,11 @@ class TestCoverColoring:
 
 class TestCliqueColoring:
     def test_pinned_color_counts(self):
-        assert color_count(clique_coloring(10, 4)) == 7
-        assert color_count(clique_coloring(10, 2)) == 2
+        assert clique_coloring(10, 4).num_colors == 7
+        assert clique_coloring(10, 2).num_colors == 2
 
     def test_full_clique_drops_empty_shared_class(self):
-        assert color_count(clique_coloring(5, 5)) == 10
+        assert clique_coloring(5, 5).num_colors == 10
 
     def test_shared_color_on_every_outside_edge(self):
         coloring = clique_coloring(8, 4)

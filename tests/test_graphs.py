@@ -13,7 +13,6 @@ from antiramsey import (
     TriplePath,
     Union,
     build_pattern,
-    degree_profile,
     family_name,
     parse_family,
     parse_graph,
@@ -66,17 +65,17 @@ class TestBuildPattern:
 
 class TestDegreeProfile:
     def test_path(self):
-        assert degree_profile(build_pattern(Path(2))) == [1, 2, 1]
+        assert build_pattern(Path(2)).degrees() == [1, 2, 1]
 
     def test_cycle(self):
-        assert degree_profile(build_pattern(Cycle(4))) == [2, 2, 2, 2]
+        assert build_pattern(Cycle(4)).degrees() == [2, 2, 2, 2]
 
     def test_empty(self):
-        assert degree_profile(Graph(3)) == [0, 0, 0]
+        assert Graph(3).degrees() == [0, 0, 0]
 
     def test_sum_is_twice_edges(self):
         g = build_pattern(Union(Path(4), Cycle(5), Matching(2)))
-        assert sum(degree_profile(g)) == 2 * g.num_edges
+        assert sum(g.degrees()) == 2 * g.num_edges
 
 
 class TestGraphValidation:

@@ -10,8 +10,8 @@ from antiramsey import (
     OracleInconclusive,
     Path,
     TriplePath,
+    Union,
     build_pattern,
-    color_count,
     cover_coloring,
     exact_ar,
     is_rainbow_free,
@@ -56,8 +56,22 @@ class TestWitness:
     def test_witness_attains_maximum_and_is_rainbow_free(self, n, spec):
         r = max_rainbow_free(n, spec)
         assert r.witness is not None
-        assert color_count(r.witness) == r.max_rainbow_free_colors
+        assert r.witness.num_colors == r.max_rainbow_free_colors
         assert is_rainbow_free(r.witness, spec)
+
+    @pytest.mark.parametrize("spec,nodes", [
+        (Cycle(3), 85_954),
+        (Matching(3), 552_048),
+        (TriplePath(2), 171_825),
+        (Cycle(4), 337_466),
+        (Path(4), 99_645),
+        (Union(Cycle(3), Matching(1)), 667_701),
+    ])
+    def test_node_count_pinned_at_n6(self, spec, nodes):
+        # pins the search order and the bounds: any change to either moves it
+        r = max_rainbow_free(6, spec)
+        assert r.conclusive
+        assert r.nodes_explored == nodes
 
     def test_deterministic_across_runs(self):
         a = max_rainbow_free(5, Path(3))
@@ -85,10 +99,15 @@ class TestBudget:
         r = max_rainbow_free(6, Cycle(3), node_budget=200)
         assert not r.conclusive
         assert r.ar_exact is None
-        assert r.nodes_explored >= 200
+        assert r.nodes_explored == 200
         if r.witness is not None:
             assert is_rainbow_free(r.witness, Cycle(3))
-            assert color_count(r.witness) == r.max_rainbow_free_colors
+            assert r.witness.num_colors == r.max_rainbow_free_colors
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            max_rainbow_free(5, Cycle(3), node_budget=budget)
 
     def test_exact_ar_raises_when_inconclusive(self):
         with pytest.raises(OracleInconclusive) as exc:
@@ -124,7 +143,7 @@ class TestConsistency:
         ]
         for spec, r1, s, n in cases:
             assert q_cover(build_pattern(spec), s).value > r1
-            feasible = color_count(cover_coloring(n, r1, s))
+            feasible = cover_coloring(n, r1, s).num_colors
             assert max_rainbow_free(n, spec).max_rainbow_free_colors >= feasible
 
     def test_subgraph_monotone(self):
