@@ -5,7 +5,8 @@ logs go to stderr only; stdout carries a single JSON document so outputs are
 byte-stable.  Only ``oracle`` emits a timing field; its --no-meta drops it.
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible host or
-exhausted search budget.
+exhausted search budget, 3 (verify) a closed form flagged valid disagrees
+with the exhaustive search.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .rainbow import find_rainbow
 
 USAGE_ERROR = 1
 INFEASIBLE = 2
+MISMATCH = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,7 +122,7 @@ def _cmd_verify(args) -> int:
     spec = parse_family(args.family)
     report = verify_range(spec, args.n_from, args.n_to, args.budget)
     _emit(report.to_json())
-    return 0
+    return MISMATCH if report.mismatches else 0
 
 
 def main(argv=None) -> int:

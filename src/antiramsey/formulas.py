@@ -136,10 +136,20 @@ def _exact_report(spec, n, value: Fraction, window_ok: bool, tags,
 def ar_path(n: int, k: int) -> BoundReport:
     """Exact value for the path with ``k >= 2`` edges.
 
-    ``(floor(k/2) - 1) * (n - floor(k/2)/2) + 2 + (k mod 2)``.  For k >= 3
+    ``(floor(k/2) - 1) * (n - floor(k/2)/2) + 2 + (k mod 2)``.  For k >= 4
     this is an asymptotic result whose exact small-n cutoff is not pinned
     down, so the report carries a caveat tag; the exhaustive oracle is the
     ground truth at small n.  For k = 2 the value 2 is elementary.
+
+    For k = 3 the value 3 holds for n >= 5 only.  Two colors never give a
+    rainbow 3-edge path.  Three colors force one: if xyz is a rainbow
+    triangle, each outside vertex w must have c(wx) = c(yz), c(wy) = c(zx),
+    c(wz) = c(xy), and then no color is left for an edge between two outside
+    vertices; otherwise a rainbow 2-edge path x-y-z with colors a, b confines
+    every edge at x or z to {a, b}, and an edge of a third color, at y or
+    between two outside vertices, closes a rainbow 3-edge path.  At n = 4
+    the three perfect matchings of K4 in three colors contain no rainbow
+    3-edge path, so AR(4, P4) = 4 and the report is not valid.
     """
     if k < 2:
         raise ValueError("need a path with at least 2 edges (single edges are trivial)")
@@ -148,9 +158,9 @@ def ar_path(n: int, k: int) -> BoundReport:
     half = k // 2
     value = (half - 1) * (Fraction(2 * n) - half) / 2 + 2 + k % 2
     tags = ["path-closed-form"]
-    if k >= 3:
+    if k >= 4:
         tags.append("large-n-window-unverified")
-    return _exact_report(Path(k), n, value, True, tags)
+    return _exact_report(Path(k), n, value, k != 3 or n >= 5, tags)
 
 
 def ar_cycle(n: int, k: int) -> BoundReport:

@@ -9,23 +9,36 @@ fixed lexicographic edge order, may reuse any color already open or open the
 next fresh id), which quotients out color renamings; every leaf is therefore
 automatically surjective.  Depth-first branch and bound:
 
-* a branch is cut when (colors open so far) + (edges still uncolored) cannot
-  beat the incumbent;
+* an uncolored edge e is *blocked* when some placement of the pattern
+  through e has every other edge colored and rainbow: a fresh color on e
+  would complete a rainbow copy, so e can only repeat a color.  A branch is
+  cut when (colors open so far) + (uncolored edges that are not blocked)
+  cannot beat the incumbent.  Coloring more edges only blocks more, so the
+  bound is sound and never rises along a branch;
 * a branch is cut as soon as the partially colored host contains a rainbow
   copy of the pattern, since later edges only add colors and an existing
   rainbow copy survives;
 * fresh color first, then existing ids in ascending order - strong
-  incumbents appear early, which is what makes the count bound bite.
+  incumbents appear early, which is what makes the bound bite.
 
-The rainbow check is incremental: all placements of the pattern are
-enumerated once as sets of edge ranks and bucketed by their largest rank, so
-after coloring edge i exactly the placements completed by edge i are tested.
-Host-vertex symmetry pruning is deliberately not attempted here (correctness
-over speed; a known optimization hook).
+Blocking is tracked incrementally.  All placements of the pattern are
+enumerated once as sorted edge-rank tuples and indexed by their
+second-largest rank (``near``): coloring edge i leaves exactly the
+placements in ``near[i]`` with one uncolored edge.  Each edge keeps the bit
+mask of colors it may still take, the intersection of the color sets of the
+rainbow rests that block it; coloring edge i narrows the masks of the edges
+its placements block, and an undo stack restores them on backtrack.  The
+rainbow check is then one bit test: coloring edge i completes a rainbow copy
+exactly when its color is outside edge i's mask.  Host-vertex symmetry
+pruning is not attempted here (a known optimization hook).
 
 The reported witness is the first incumbent attaining the final maximum in
-the fixed search order.  n <= 6 always completes; n = 7 runs under a node
-budget and falls back to an explicit inconclusive result.
+the fixed search order: pruning only cuts subtrees whose bound cannot beat
+the incumbent, and the incumbent changes only on a strict improvement, so a
+tighter sound bound leaves the witness unchanged.  n <= 6 always completes.
+n = 7 runs under a default node budget and falls back to an explicit
+inconclusive result; C3, C4, C5, 3P2, 2P3, P4, P5 and C3+P2 all finish
+within it (C5, the slowest, in 1.8 M nodes).
 """
 
 from __future__ import annotations
@@ -83,8 +96,18 @@ class OracleResult:
         return out
 
 
-def _placement_buckets(n: int, g: Graph) -> list[list[tuple[int, ...]]]:
-    """All placements of g into K_n as edge-rank tuples, bucketed by max rank.
+def _placement_index(n: int, g: Graph) -> tuple[list, list[int]]:
+    """Every placement of g into K_n, keyed by its second-largest edge rank.
+
+    ``near[i]`` lists ``(prefix, ends)`` pairs: each ``prefix + (i, e)``
+    with e in ``ends`` is a placement, as sorted edge ranks, whose
+    second-largest rank is i.  Once edges 0..i are colored such a placement
+    has one uncolored edge left, e, and if the rest ``prefix + (i,)`` is
+    rainbow it blocks e: coloring e with a color outside the rest's colors
+    completes a rainbow copy.  ``allowed[e]`` is the bit mask of colors e may
+    take without completing a copy (-1: every color).  It starts at 0 on the
+    edges of one-edge placements, whose empty rest is rainbow from the
+    outset, and at -1 everywhere else.
 
     Distinct vertex maps giving the same edge set are deduplicated; only the
     edge set matters for rainbow-ness.  Vertices of degree zero are ignored
@@ -96,11 +119,17 @@ def _placement_buckets(n: int, g: Graph) -> list[list[tuple[int, ...]]]:
     pedges = [(pos[u], pos[v]) for u, v in g.edge_list]
     edge_sets = {frozenset(edge_index(n, image[a], image[b]) for a, b in pedges)
                  for image in permutations(range(n), len(pverts))}
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n * (n - 1) // 2)]
-    for es in edge_sets:
-        ranks = tuple(sorted(es))
-        buckets[ranks[-1]].append(ranks)
-    return buckets
+    m = n * (n - 1) // 2
+    groups: list[dict[tuple[int, ...], list[int]]] = [{} for _ in range(m)]
+    allowed = [-1] * m
+    for ranks in sorted(tuple(sorted(es)) for es in edge_sets):
+        if len(ranks) == 1:
+            allowed[ranks[0]] = 0
+        else:
+            groups[ranks[-2]].setdefault(ranks[:-2], []).append(ranks[-1])
+    near = [[(prefix, tuple(ends)) for prefix, ends in group.items()]
+            for group in groups]
+    return near, allowed
 
 
 PROGRESS_INTERVAL = 1_000_000
@@ -136,9 +165,17 @@ def max_rainbow_free(n: int, pattern: Graph | PatternSpec,
         node_budget = DEFAULT_BUDGET_N7
 
     m = n * (n - 1) // 2
-    buckets = _placement_buckets(n, g)
-    # color ids tried at a node with cmax colors open: fresh first, then reuse
+    near, allowed = _placement_index(n, g)
+    # color ids tried at a node with cmax colors open: fresh first, then
+    # reuse; a blocked edge only reuses
     orders = [(c, *range(c)) for c in range(m + 1)]
+    reuses = [tuple(range(c)) for c in range(m + 1)]
+    # undo stack of (edge, its previous allowed mask); each placement is
+    # pushed at most once along a branch, when its second-largest edge is
+    # colored
+    depth = sum(len(ends) for rests in near for _, ends in rests)
+    undo_edge = [0] * depth
+    undo_mask = [0] * depth
     limit = -1 if node_budget is None else node_budget  # nodes never reaches -1
     color = [0] * m
     best = 0
@@ -147,23 +184,40 @@ def max_rainbow_free(n: int, pattern: Graph | PatternSpec,
     budget_hit = False
     start = time.perf_counter()
 
-    def rec(i: int, cmax: int) -> None:
+    def rec(i: int, cmax: int, free: int, top: int) -> None:
+        # free: uncolored edges (i..m-1) that are not blocked; top: undo depth
         nonlocal best, best_colors, nodes, budget_hit
-        if i == m:
-            if cmax > best:
-                best = cmax
-                best_colors = color.copy()
+        if i == m:  # reached only when cmax > best
+            best = cmax
+            best_colors = color.copy()
             return
-        rem = m - i - 1
-        bucket = buckets[i]
         col = color
-        for c in orders[cmax]:
+        # the prefixes below edge i are colored for the whole frame: keep the
+        # color masks of the rainbow ones
+        live = []
+        for prefix, ends in near[i]:
+            mask = 0
+            for r in prefix:
+                b = 1 << col[r]
+                if mask & b:
+                    break
+                mask |= b
+            else:
+                live.append((mask, ends))
+        ok = allowed[i]
+        if ok == -1:
+            own = 1
+            cs = orders[cmax]
+        else:  # a fresh color would complete a rainbow copy
+            own = 0
+            cs = reuses[cmax]
+        for c in cs:
             if c == cmax:  # fresh color; if its bound fails, so does reuse
-                if cmax + 1 + rem <= best:
+                if cmax + free <= best:
                     return
                 nxt = cmax + 1
             elif not c:  # first reused id, after the fresh subtree has run
-                if cmax + rem <= best:
+                if cmax + free - own <= best:
                     return
                 nxt = cmax
             if nodes == limit:
@@ -172,20 +226,32 @@ def max_rainbow_free(n: int, pattern: Graph | PatternSpec,
             nodes += 1
             if on_progress is not None and nodes % PROGRESS_INTERVAL == 0:
                 on_progress(nodes, best)
+            bit = 1 << c
+            if not ok & bit:
+                continue  # rainbow copy completed: prune
             col[i] = c
-            for emb in bucket:
-                mask = 0
-                for e in emb:
-                    b = 1 << col[e]
-                    if mask & b:
-                        break
-                    mask |= b
-                else:
-                    break  # rainbow copy completed: prune
-            else:
-                rec(i + 1, nxt)
+            # edge i leaves the uncolored set; each placement now left with
+            # one uncolored edge and a rainbow rest blocks that edge
+            left = free - own
+            t = top
+            for mask, ends in live:
+                if not mask & bit:
+                    mask |= bit
+                    for e in ends:
+                        old = allowed[e]
+                        if old == -1:
+                            left -= 1
+                        allowed[e] = old & mask
+                        undo_edge[t] = e
+                        undo_mask[t] = old
+                        t += 1
+            if nxt + left > best:
+                rec(i + 1, nxt, left, t)
+            while t > top:
+                t -= 1
+                allowed[undo_edge[t]] = undo_mask[t]
 
-    rec(0, 0)
+    rec(0, 0, allowed.count(-1), 0)
     elapsed = time.perf_counter() - start
     conclusive = not budget_hit
     witness = None if best_colors is None else EdgeColoring(n, tuple(best_colors))

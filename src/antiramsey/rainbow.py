@@ -203,6 +203,8 @@ def find_rainbow(coloring: EdgeColoring,
         raise ValueError(f"pattern has {g.n} vertices, host only {n}")
     if g.num_edges == 0:
         return Embedding(tuple(range(g.n)))
+    if g.num_edges > coloring.num_colors:
+        return None  # pigeonhole: a rainbow copy needs a color per edge
 
     mat = coloring.color_matrix()
     color_degree = [len({c for c in row if c >= 0}) for row in mat]

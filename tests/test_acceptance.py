@@ -240,3 +240,21 @@ def test_criterion_9_branch_and_bound_matches_full_enumeration_on_k4():
         result = max_rainbow_free(4, g)
         assert result.max_rainbow_free_colors == enum_best, g
     _report(9, "branch and bound equals full normal-form enumeration on K4")
+
+
+def test_criterion_9_branch_and_bound_matches_full_enumeration_on_k5():
+    by_count: dict[int, list[EdgeColoring]] = {}
+    for s in rg_strings(10):
+        by_count.setdefault(max(s) + 1, []).append(EdgeColoring(5, s))
+    assert sum(len(v) for v in by_count.values()) == 115_975  # Bell number B10
+    patterns = iso_classes(5, 4)
+    assert len(patterns) == 13
+    for g in patterns:
+        # the first rainbow-free coloring in descending color count is a
+        # maximum; a single edge is rainbow in every coloring (maximum 0)
+        enum_best = next((k for k in sorted(by_count, reverse=True)
+                          if any(not naive_has_rainbow(coloring, g)
+                                 for coloring in by_count[k])), 0)
+        result = max_rainbow_free(5, g)
+        assert result.max_rainbow_free_colors == enum_best, g
+    _report(9, "branch and bound equals full normal-form enumeration on K5")

@@ -8,6 +8,7 @@ from antiramsey import parse_coloring, serialize_coloring, serialize_graph
 from antiramsey import all_distinct, build_pattern, monochromatic
 from antiramsey.cli import main
 from antiramsey.graphs import Path
+from antiramsey.oracle import RangeReport
 
 
 def run(capsys, *argv):
@@ -167,6 +168,23 @@ class TestVerify:
                       "--n-from", "3", "--n-to", "5")
         assert js["mismatches"] == []
         assert [r["ar_oracle"] for r in js["rows"]] == [3, 4, 5]
+
+    def test_mismatch_exits_three(self, capsys, monkeypatch):
+        def fake_verify_range(spec, n_from, n_to, budget):
+            return RangeReport(spec, n_from, n_to, (), (n_from,))
+
+        monkeypatch.setattr("antiramsey.cli.verify_range", fake_verify_range)
+        code, out, _err = run(capsys, "verify", "--family", "C3",
+                              "--n-from", "4", "--n-to", "4")
+        assert code == 3
+        assert json.loads(out)["mismatches"] == [4]
+
+    def test_short_path_on_k4_is_data_not_a_mismatch(self, capsys):
+        js = run_json(capsys, "verify", "--family", "P4",
+                      "--n-from", "4", "--n-to", "6")
+        assert js["mismatches"] == []
+        assert [r["ar_oracle"] for r in js["rows"]] == [4, 3, 3]
+        assert [r["formula_valid"] for r in js["rows"]] == [False, True, True]
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_bad_budget_exits_one(self, capsys, budget):

@@ -35,14 +35,25 @@ class TestPath:
         (20, 4, 21),
         (10, 2, 2),
         (6, 4, 7),
+        (5, 3, 3),
     ])
     def test_values(self, n, k, expected):
         rep = ar_path(n, k)
         assert rep.exact == expected
         assert rep.valid["exact"]
 
+    def test_three_edge_path_on_k4_not_valid(self):
+        # K4's three perfect matchings in three colors have no rainbow P4,
+        # so AR(4, P4) = 4 and the value 3 is only a lower bound there
+        rep = ar_path(4, 3)
+        assert rep.exact == 3
+        assert not rep.valid["exact"]
+        assert rep.valid["lower"]
+
     def test_caveat_tag_for_long_paths(self):
         assert "large-n-window-unverified" in ar_path(20, 5).provenance
+        assert "large-n-window-unverified" in ar_path(20, 4).provenance
+        assert "large-n-window-unverified" not in ar_path(20, 3).provenance
         assert "large-n-window-unverified" not in ar_path(20, 2).provenance
 
     def test_errors(self):

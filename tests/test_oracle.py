@@ -60,18 +60,33 @@ class TestWitness:
         assert is_rainbow_free(r.witness, spec)
 
     @pytest.mark.parametrize("spec,nodes", [
-        (Cycle(3), 85_954),
-        (Matching(3), 552_048),
-        (TriplePath(2), 171_825),
-        (Cycle(4), 337_466),
-        (Path(4), 99_645),
-        (Union(Cycle(3), Matching(1)), 667_701),
+        (Cycle(3), 1_078),
+        (Matching(3), 19_598),
+        (TriplePath(2), 5_527),
+        (Cycle(4), 11_330),
+        (Path(4), 2_355),
+        (Union(Cycle(3), Matching(1)), 13_345),
     ])
     def test_node_count_pinned_at_n6(self, spec, nodes):
         # pins the search order and the bounds: any change to either moves it
         r = max_rainbow_free(6, spec)
         assert r.conclusive
         assert r.nodes_explored == nodes
+
+    @pytest.mark.parametrize("spec,witness", [
+        (Cycle(3), "012340000111223"),
+        (Matching(3), "012345555555555"),
+        (TriplePath(2), "012300000450600"),
+        (Cycle(4), "012000034500006"),
+        (Path(4), "012345555555555"),
+        (Union(Cycle(3), Matching(1)), "012345555555555"),
+    ])
+    def test_witness_pinned_at_n6(self, spec, witness):
+        # the first incumbent attaining the maximum in the fixed search order;
+        # a sound bound only cuts subtrees that cannot beat the incumbent, so
+        # tightening the bound must leave this coloring unchanged
+        r = max_rainbow_free(6, spec)
+        assert r.witness.colors == tuple(int(ch) for ch in witness)
 
     def test_deterministic_across_runs(self):
         a = max_rainbow_free(5, Path(3))

@@ -115,6 +115,28 @@ class TestOracleEquivalence:
                     == naive_has_rainbow(coloring, g), (spec, coloring.colors)
 
 
+class TestPigeonhole:
+    def test_fewer_colors_than_edges_settles_at_once(self):
+        # 3P3 has 6 edges; without the pigeonhole exit the complete search on
+        # this host runs for about a minute
+        coloring = random_surjective_coloring(random.Random(18), 18, 5)
+        assert coloring.num_colors == 5
+        assert find_rainbow(coloring, TriplePath(3)) is None
+
+    def test_agrees_with_naive_enumeration(self):
+        rng = random.Random(1618)
+        checked = 0
+        for n in (5, 6):
+            for spec in PATTERNS:
+                g = build_pattern(spec)
+                for colors in range(1, g.num_edges):
+                    coloring = random_surjective_coloring(rng, n, colors)
+                    assert find_rainbow(coloring, g) is None
+                    assert not naive_has_rainbow(coloring, g), (spec, coloring.colors)
+                    checked += 1
+        assert checked > 20
+
+
 class TestRefinementMonotonicity:
     def test_splitting_a_color_class_keeps_the_witness(self):
         rng = random.Random(1618)
