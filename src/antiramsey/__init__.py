@@ -35,7 +35,6 @@ from .formulas import (
     triples_step_threshold,
 )
 from .graphs import (
-    Custom,
     Cycle,
     Graph,
     Matching,
@@ -65,7 +64,7 @@ from .rainbow import Embedding, check_embedding, find_rainbow, is_rainbow_free
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "Custom", "Cycle", "EdgeColoring", "Embedding", "Graph",
+    "BoundReport", "Cycle", "EdgeColoring", "Embedding", "Graph",
     "Matching", "OracleInconclusive", "OracleResult", "Path", "PatternSpec",
     "QResult", "RangeReport", "RangeRow", "TransferBound", "TransferParams",
     "TriplePath", "Union", "UnrecognizedFamilyError",

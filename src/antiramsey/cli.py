@@ -5,8 +5,9 @@ logs go to stderr only; stdout carries a single JSON document so outputs are
 byte-stable.  Only ``oracle`` emits a timing field; its --no-meta drops it.
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible host or
-exhausted search budget, 3 (verify) a closed form flagged valid disagrees
-with the exhaustive search.
+exhausted search budget (for verify: any row ``inconclusive`` or
+``skipped-infeasible``; ``skipped-small`` rows pass), 3 (verify) a closed
+form flagged valid disagrees with the exhaustive search, ahead of 2.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from .colorings import parse_coloring, serialize_coloring
 from .constructions import clique_coloring, cover_coloring
 from .formulas import UnrecognizedFamilyError, ar_family
-from .graphs import Graph, build_pattern, parse_family, parse_graph
+from .graphs import build_pattern, parse_family, parse_graph
 from .oracle import HARD_CEILING, max_rainbow_free, verify_range
 from .qcover import q_cover
 from .rainbow import find_rainbow
@@ -65,8 +66,7 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_qcover(args) -> int:
-    pattern = _load_pattern(args)
-    g = pattern if isinstance(pattern, Graph) else build_pattern(pattern)
+    g = build_pattern(_load_pattern(args))
     _emit(q_cover(g, args.j).to_json())
     return 0
 
@@ -122,7 +122,11 @@ def _cmd_verify(args) -> int:
     spec = parse_family(args.family)
     report = verify_range(spec, args.n_from, args.n_to, args.budget)
     _emit(report.to_json())
-    return MISMATCH if report.mismatches else 0
+    if report.mismatches:
+        return MISMATCH
+    if any(r.status in ("inconclusive", "skipped-infeasible") for r in report.rows):
+        return INFEASIBLE
+    return 0
 
 
 def main(argv=None) -> int:

@@ -47,24 +47,12 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges if u < v else (v, u) in self.edges
-
     def degrees(self) -> list[int]:
         degs = [0] * self.n
         for u, v in self.edges:
             degs[u] += 1
             degs[v] += 1
         return degs
-
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edge_list:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
@@ -142,14 +130,7 @@ class Union:
         object.__setattr__(self, "parts", tuple(flat))
 
 
-@dataclass(frozen=True)
-class Custom:
-    """An arbitrary concrete graph used as a pattern."""
-
-    graph: Graph
-
-
-PatternSpec = Path | Cycle | Matching | TriplePath | Union | Custom
+PatternSpec = Graph | Path | Cycle | Matching | TriplePath | Union
 
 
 def build_pattern(spec: PatternSpec) -> Graph:
@@ -157,8 +138,10 @@ def build_pattern(spec: PatternSpec) -> Graph:
 
     Union components are laid out in listed order on consecutive vertex
     blocks, so realizations (and hence witnesses found against them) are
-    reproducible.
+    reproducible.  A Graph is returned unchanged.
     """
+    if isinstance(spec, Graph):
+        return spec
     if isinstance(spec, Path):
         return Graph(spec.k + 1, [(i, i + 1) for i in range(spec.k)])
     if isinstance(spec, Cycle):
@@ -176,13 +159,13 @@ def build_pattern(spec: PatternSpec) -> Graph:
         for part in spec.parts:
             g = disjoint_union(g, build_pattern(part))
         return g
-    if isinstance(spec, Custom):
-        return spec.graph
     raise TypeError(f"not a pattern spec: {spec!r}")
 
 
 def family_name(spec: PatternSpec) -> str:
-    """Compact text form, e.g. ``P5``, ``3P2``, ``C3+2P2``."""
+    """Compact text form, e.g. ``P5``, ``3P2``, ``C3+2P2``, ``custom(n=3,m=2)``."""
+    if isinstance(spec, Graph):
+        return f"custom(n={spec.n},m={spec.num_edges})"
     if isinstance(spec, Path):
         return f"P{spec.k + 1}"
     if isinstance(spec, Cycle):
@@ -193,9 +176,6 @@ def family_name(spec: PatternSpec) -> str:
         return f"{spec.k}P3" if spec.k > 1 else "P3"
     if isinstance(spec, Union):
         return "+".join(family_name(p) for p in spec.parts)
-    if isinstance(spec, Custom):
-        g = spec.graph
-        return f"custom(n={g.n},m={g.num_edges})"
     raise TypeError(f"not a pattern spec: {spec!r}")
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .colorings import EdgeColoring, edge_index
-from .formulas import UnrecognizedFamilyError, ar_family
+from .formulas import ar_family
 from .graphs import Graph, PatternSpec, build_pattern, family_name
 
 HARD_CEILING = 7
@@ -68,7 +68,7 @@ class OracleInconclusive(RuntimeError):
 @dataclass(frozen=True)
 class OracleResult:
     n: int
-    pattern: PatternSpec | Graph
+    pattern: PatternSpec
     max_rainbow_free_colors: int
     ar_exact: int | None
     witness: EdgeColoring | None
@@ -79,12 +79,9 @@ class OracleResult:
     def to_json(self, meta: bool = True) -> dict:
         from .colorings import serialize_coloring
 
-        name = (family_name(self.pattern)
-                if not isinstance(self.pattern, Graph)
-                else f"custom(n={self.pattern.n},m={self.pattern.num_edges})")
         out = {
             "n": self.n,
-            "pattern": name,
+            "pattern": family_name(self.pattern),
             "max_rainbow_free_colors": self.max_rainbow_free_colors,
             "ar_exact": self.ar_exact,
             "witness": None if self.witness is None else serialize_coloring(self.witness),
@@ -140,7 +137,7 @@ def _check_budget(node_budget: int | None) -> None:
         raise ValueError(f"node budget must be at least 1, got {node_budget}")
 
 
-def max_rainbow_free(n: int, pattern: Graph | PatternSpec,
+def max_rainbow_free(n: int, pattern: PatternSpec,
                      node_budget: int | None = None,
                      on_progress=None) -> OracleResult:
     """Maximum color count over rainbow-free colorings of K_n, with witness.
@@ -152,7 +149,7 @@ def max_rainbow_free(n: int, pattern: Graph | PatternSpec,
     ``on_progress(nodes, best)`` is called every PROGRESS_INTERVAL nodes so
     callers can log liveness without touching the result.
     """
-    g = pattern if isinstance(pattern, Graph) else build_pattern(pattern)
+    g = build_pattern(pattern)
     if g.num_edges == 0:
         raise ValueError("pattern needs at least one edge")
     if g.n > n:
@@ -266,7 +263,7 @@ def max_rainbow_free(n: int, pattern: Graph | PatternSpec,
     )
 
 
-def exact_ar(n: int, pattern: Graph | PatternSpec,
+def exact_ar(n: int, pattern: PatternSpec,
              node_budget: int | None = None) -> int:
     """Exact anti-Ramsey value: max rainbow-free colors plus one."""
     result = max_rainbow_free(n, pattern, node_budget)
@@ -345,7 +342,7 @@ def verify_range(spec: PatternSpec, n_from: int, n_to: int,
             formula_exact = rep.exact
             if rep.exact is not None:
                 formula_valid = bool(rep.valid.get("exact", False))
-        except (UnrecognizedFamilyError, ValueError):
+        except ValueError:
             pass
         result = max_rainbow_free(n, spec, node_budget)
         if not result.conclusive:

@@ -9,9 +9,9 @@ r-set admits no rainbow copy of G.
 The default strategy enumerates subsets in ascending cardinality (bitmask
 incidence, first hit in ``itertools.combinations`` order is the lex-smallest
 witness).  Pattern graphs here are small with tiny optimal covers, so that is
-usually instant; a branch-and-bound fallback (greedy upper bound plus a
-degree-sum lower bound, branching on the first uncovered edge) guards larger
-custom inputs, with the witness rebuilt lexicographically afterwards.
+usually instant; a branch-and-bound fallback (degree-sum lower bound,
+branching on the first uncovered edge) guards larger custom inputs, with
+the witness rebuilt lexicographically afterwards.
 """
 
 from __future__ import annotations
@@ -39,23 +39,13 @@ class QResult:
         return {"j": self.j, "value": self.value, "witness": list(self.witness)}
 
 
-def _incidence_masks(g: Graph) -> tuple[list[int], int]:
-    """Per-vertex bitmask over edge indices, plus the full-edge mask."""
+def _incidence_masks(g: Graph) -> list[int]:
+    """Per-vertex bitmask over edge indices."""
     masks = [0] * g.n
     for idx, (u, v) in enumerate(g.edge_list):
         masks[u] |= 1 << idx
         masks[v] |= 1 << idx
-    return masks, (1 << g.num_edges) - 1
-
-
-def _greedy_upper(active, masks, m, j) -> int:
-    covered = 0
-    size = 0
-    while m - int.bit_count(covered) > j:
-        best_v = max(active, key=lambda v: (int.bit_count(masks[v] & ~covered), -v))
-        covered |= masks[best_v]
-        size += 1
-    return size
+    return masks
 
 
 def _exists_cover(edges, masks, covered, ignored, budget, slack, chosen_limit) -> bool:
@@ -123,12 +113,12 @@ def q_cover(g: Graph, j: int) -> QResult:
     m = g.num_edges
     if m <= j:
         return QResult(j, 0, ())
-    masks, _ = _incidence_masks(g)
+    masks = _incidence_masks(g)
     active = [v for v in range(g.n) if masks[v]]
-    upper = _greedy_upper(active, masks, m, j)
     max_deg = max(int.bit_count(masks[v]) for v in active)
     lower = max(0, -(-(m - j) // max_deg))
-    for size in range(lower, upper + 1):
+    # the loop always returns: all active vertices together cover every edge
+    for size in range(lower, len(active) + 1):
         if comb(len(active), size) <= _ENUM_LIMIT:
             for combo in combinations(active, size):
                 covered = 0
@@ -142,7 +132,6 @@ def q_cover(g: Graph, j: int) -> QResult:
                 allowed |= 1 << v
             if _exists_cover(g.edge_list, masks, 0, 0, size, j, allowed):
                 return QResult(j, size, _lex_witness(g, active, masks, m, j, size))
-    raise AssertionError("greedy upper bound was not feasible")
 
 
 def cover_by_counting(g: Graph, size: int, slack: int) -> bool:

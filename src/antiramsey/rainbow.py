@@ -37,15 +37,12 @@ class Embedding:
 
     map: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {"map": list(self.map)}
 
-
-def check_embedding(coloring: EdgeColoring, pattern: Graph | PatternSpec,
+def check_embedding(coloring: EdgeColoring, pattern: PatternSpec,
                     emb: Embedding) -> bool:
     """True iff the map is injective into the host and the images of the
     pattern edges have pairwise distinct colors."""
-    g = pattern if isinstance(pattern, Graph) else build_pattern(pattern)
+    g = build_pattern(pattern)
     m = emb.map
     if len(m) != g.n:
         return False
@@ -66,16 +63,15 @@ def check_embedding(coloring: EdgeColoring, pattern: Graph | PatternSpec,
 # Host twin classes
 # ---------------------------------------------------------------------------
 
-def _twin_partition(coloring: EdgeColoring) -> list[int]:
+def _twin_partition(coloring: EdgeColoring, mat: list[list[int]]) -> list[int]:
     """Partition host vertices into interchangeability classes.
 
     u and v land in one class when swapping them maps every color class of
     the coloring onto a color class (possibly another one), so any embedding
     using v can be rewritten to use u.  The relation is transitive because
-    such structure-preserving swaps compose.
+    such structure-preserving swaps compose.  ``mat`` is ``color_matrix()``.
     """
     n = coloring.n
-    mat = coloring.color_matrix()
     ncol = coloring.num_colors
     class_size = [0] * ncol
     for c in coloring.colors:
@@ -192,12 +188,12 @@ def _build_plan(g: Graph):
 # ---------------------------------------------------------------------------
 
 def find_rainbow(coloring: EdgeColoring,
-                 pattern: Graph | PatternSpec) -> Embedding | None:
+                 pattern: PatternSpec) -> Embedding | None:
     """First rainbow embedding in the deterministic search order, or None.
 
     ``None`` certifies that no rainbow copy exists (complete search).
     """
-    g = pattern if isinstance(pattern, Graph) else build_pattern(pattern)
+    g = build_pattern(pattern)
     n = coloring.n
     if g.n > n:
         raise ValueError(f"pattern has {g.n} vertices, host only {n}")
@@ -208,7 +204,7 @@ def find_rainbow(coloring: EdgeColoring,
 
     mat = coloring.color_matrix()
     color_degree = [len({c for c in row if c >= 0}) for row in mat]
-    twin = _twin_partition(coloring)
+    twin = _twin_partition(coloring, mat)
     slots, isolated, pdeg = _build_plan(g)
 
     assignment = [-1] * g.n
@@ -260,6 +256,6 @@ def find_rainbow(coloring: EdgeColoring,
 
 
 def is_rainbow_free(coloring: EdgeColoring,
-                    pattern: Graph | PatternSpec) -> bool:
+                    pattern: PatternSpec) -> bool:
     """True iff the coloring has no rainbow copy of the pattern."""
     return find_rainbow(coloring, pattern) is None

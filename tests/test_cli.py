@@ -186,6 +186,22 @@ class TestVerify:
         assert [r["ar_oracle"] for r in js["rows"]] == [4, 3, 3]
         assert [r["formula_valid"] for r in js["rows"]] == [False, True, True]
 
+    @pytest.mark.parametrize("argv, status", [
+        (("--n-from", "7", "--n-to", "7", "--budget", "1000"), "inconclusive"),
+        (("--n-from", "8", "--n-to", "8"), "skipped-infeasible"),
+    ])
+    def test_unchecked_row_exits_two(self, capsys, argv, status):
+        code, out, _err = run(capsys, "verify", "--family", "C4", *argv)
+        assert code == 2
+        js = json.loads(out)
+        assert js["mismatches"] == []
+        assert [r["status"] for r in js["rows"]] == [status]
+
+    def test_skipped_small_exits_zero(self, capsys):
+        js = run_json(capsys, "verify", "--family", "C4",
+                      "--n-from", "3", "--n-to", "4")
+        assert [r["status"] for r in js["rows"]] == ["skipped-small", "ok"]
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_bad_budget_exits_one(self, capsys, budget):
         code, out, err = run(capsys, "verify", "--family", "C3",

@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from antiramsey import (
-    Custom,
     Cycle,
     Graph,
     Matching,
@@ -222,7 +221,7 @@ class TestFamilyDispatch:
         Union(Path(4), Cycle(3)),
         Union(Cycle(3), TriplePath(1), Matching(1)),
         Union(Path(4), Path(5)),
-        Custom(Graph(4, [(0, 1), (2, 3)])),
+        Graph(4, [(0, 1), (2, 3)]),
         Union(Path(4), TriplePath(1), Matching(1)),
     ])
     def test_unrecognized(self, spec):

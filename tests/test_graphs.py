@@ -5,18 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiramsey import (
-    Custom,
     Cycle,
     Graph,
     Matching,
     Path,
     TriplePath,
     Union,
+    UnrecognizedFamilyError,
+    ar_family,
     build_pattern,
     family_name,
     parse_family,
     parse_graph,
     serialize_graph,
+    verify_range,
 )
 
 
@@ -49,7 +51,22 @@ class TestBuildPattern:
 
     def test_custom_passthrough(self):
         g = Graph(5, [(0, 3)])
-        assert build_pattern(Custom(g)) is g
+        assert build_pattern(g) is g
+
+    # every entry point that coerces a pattern takes a bare Graph
+    @pytest.mark.parametrize("entry, expected", [
+        (lambda g: build_pattern(g) is g, True),
+        (family_name, "custom(n=3,m=2)"),
+        (lambda g: family_name(Union(g, Matching(1))), "custom(n=3,m=2)+P2"),
+        (lambda g: build_pattern(Union(g, Matching(1))),
+         Graph(5, [(0, 1), (1, 2), (3, 4)])),
+        (lambda g: pytest.raises(UnrecognizedFamilyError, ar_family, 5, g).type,
+         UnrecognizedFamilyError),
+        (lambda g: verify_range(g, 3, 4).to_json()["family"], "custom(n=3,m=2)"),
+    ], ids=["build_pattern", "family_name", "union_name", "union_build",
+            "ar_family", "verify_range"])
+    def test_bare_graph_is_a_pattern(self, entry, expected):
+        assert entry(Graph(3, [(0, 1), (1, 2)])) == expected
 
     @pytest.mark.parametrize("bad", [
         lambda: Cycle(2), lambda: Path(0), lambda: Matching(0), lambda: TriplePath(0),

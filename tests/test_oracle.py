@@ -3,7 +3,6 @@
 import pytest
 
 from antiramsey import (
-    Custom,
     Cycle,
     Graph,
     Matching,
@@ -106,7 +105,7 @@ class TestValidation:
 
     def test_edgeless_pattern_rejected(self):
         with pytest.raises(ValueError):
-            max_rainbow_free(4, Custom(Graph(3)))
+            max_rainbow_free(4, Graph(3))
 
 
 class TestBudget:

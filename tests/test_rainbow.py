@@ -5,7 +5,6 @@ import random
 import pytest
 
 from antiramsey import (
-    Custom,
     Cycle,
     EdgeColoring,
     Embedding,
@@ -62,7 +61,7 @@ class TestBasics:
             find_rainbow(monochromatic(4), Matching(3))
 
     def test_edgeless_pattern_trivially_embeds(self):
-        emb = find_rainbow(monochromatic(4), Custom(Graph(3)))
+        emb = find_rainbow(monochromatic(4), Graph(3))
         assert emb == Embedding((0, 1, 2))
 
 
