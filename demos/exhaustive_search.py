@@ -13,7 +13,7 @@ from antiramsey import (
     Matching,
     TriplePath,
     exact_ar,
-    is_rainbow_free,
+    find_rainbow,
     max_rainbow_free,
     serialize_coloring,
     verify_range,
@@ -33,7 +33,7 @@ print(f"  K5 vs triangle: {result.max_rainbow_free_colors} colors max, "
       f"AR = {result.ar_exact} ({result.nodes_explored} nodes)")
 print("  the witness coloring, certified rainbow-free:")
 print("   ", serialize_coloring(result.witness).replace("\n", "\n    ").rstrip())
-assert is_rainbow_free(result.witness, Cycle(3))
+assert find_rainbow(result.witness, Cycle(3)) is None
 assert result.witness.num_colors == result.max_rainbow_free_colors
 
 banner("Search vs closed form over a range")

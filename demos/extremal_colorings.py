@@ -22,7 +22,6 @@ from antiramsey import (
     cover_coloring,
     cover_lower_bound,
     find_rainbow,
-    is_rainbow_free,
     q_cover,
     q_union_matching,
     serialize_coloring,
@@ -66,7 +65,7 @@ banner("The small-host construction for disjoint triples")
 # k disjoint 2-edge paths cannot fit enough disjoint structure in the clique
 for k, n in [(2, 10), (3, 12)]:
     coloring = clique_coloring(n, 3 * k - 2)
-    free = is_rainbow_free(coloring, TriplePath(k))
+    free = find_rainbow(coloring, TriplePath(k)) is None
     print(f"  k={k}, n={n}: {coloring.num_colors} colors, "
           f"rainbow-free for {k}P3: {free}")
 

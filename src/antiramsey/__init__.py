@@ -59,7 +59,7 @@ from .oracle import (
     verify_range,
 )
 from .qcover import QResult, cover_by_counting, q_cover, q_union_matching
-from .rainbow import Embedding, check_embedding, find_rainbow, is_rainbow_free
+from .rainbow import Embedding, check_embedding, find_rainbow
 
 __version__ = "0.1.0"
 
@@ -73,7 +73,7 @@ __all__ = [
     "cover_by_counting", "cover_coloring", "cover_lower_bound",
     "cycle_matching_bounds", "disjoint_union", "edge_index",
     "exact_ar", "family_name", "find_rainbow", "integer_bounds",
-    "is_rainbow_free", "linear_form", "matching_step_threshold",
+    "linear_form", "matching_step_threshold",
     "max_rainbow_free", "monochromatic", "parse_coloring", "parse_family",
     "parse_graph", "path_matching_bounds", "q_cover", "q_union_matching",
     "serialize_coloring", "serialize_graph", "transfer_upper_bound",

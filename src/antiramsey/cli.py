@@ -7,7 +7,9 @@ byte-stable.  Only ``oracle`` emits a timing field; its --no-meta drops it.
 Exit codes: 0 success, 1 usage or input error, 2 infeasible host or
 exhausted search budget (for verify: any row ``inconclusive`` or
 ``skipped-infeasible``; ``skipped-small`` rows pass), 3 (verify) a closed
-form flagged valid disagrees with the exhaustive search, ahead of 2.
+form flagged valid disagrees with the exhaustive search, ahead of 2.  A
+reversed range (``formula --grid 9..5``, ``verify --n-from 6 --n-to 3``) is
+an input error and exits 1.
 """
 
 from __future__ import annotations
@@ -57,7 +59,10 @@ def _cmd_formula(args) -> int:
         try:
             ns = range(int(lo), int(hi) + 1)
         except ValueError:
-            print(f"bad grid {args.grid!r}, expected 'N1..N2'", file=sys.stderr)
+            ns = None
+        if not ns:
+            print(f"bad grid {args.grid!r}, expected 'N1..N2' with N1 <= N2",
+                  file=sys.stderr)
             return USAGE_ERROR
         _emit([ar_family(n, spec).to_json() for n in ns])
     else:

@@ -303,51 +303,9 @@ def transfer_upper_bound(n: int, count: int, params: TransferParams,
 # Mixed families: recognition and dispatch
 # ---------------------------------------------------------------------------
 
-def _recognize(spec: PatternSpec):
-    """Normalize a pattern into one of the recognized family shapes.
-
-    Single edges count toward the matching part, two-edge paths toward the
-    triple-path part, so e.g. ``P3 + 2P2`` and ``2P2 + 1P3`` dispatch the
-    same way.
-    """
-    parts = list(spec.parts) if isinstance(spec, Union) else [spec]
-    t = 0
-    k3 = 0
-    others = []
-    for p in parts:
-        if isinstance(p, Matching):
-            t += p.t
-        elif isinstance(p, TriplePath):
-            k3 += p.k
-        elif isinstance(p, Path) and p.k == 1:
-            t += 1
-        elif isinstance(p, Path) and p.k == 2:
-            k3 += 1
-        elif isinstance(p, (Path, Cycle)):
-            others.append(p)
-        else:
-            raise UnrecognizedFamilyError(
-                f"no closed form for family {family_name(spec)}")
-    if len(others) > 1:
-        raise UnrecognizedFamilyError(
-            f"no closed form for family {family_name(spec)}")
-    if others:
-        o = others[0]
-        if k3 and t == 0 and isinstance(o, Path):
-            return ("path+triples", o.k, k3)
-        if k3:
-            raise UnrecognizedFamilyError(
-                f"no closed form for family {family_name(spec)}")
-        if isinstance(o, Path):
-            return ("path", o.k) if t == 0 else ("path+matching", o.k, t)
-        return ("cycle", o.k) if t == 0 else ("cycle+matching", o.k, t)
-    if t and k3:
-        return ("matching+triples", t, k3)
-    if k3:
-        return ("triples", k3)
-    if t:
-        return ("matching", t)
-    raise UnrecognizedFamilyError("pattern has no edges")
+def _path_params(k: int) -> TransferParams:
+    """Transfer inputs with the path on ``k`` edges as the fixed part."""
+    return TransferParams(k + 1, k, 0, Fraction(k // 2 - 1), Fraction(1 + k % 2), k + 1)
 
 
 def path_matching_bounds(n: int, k: int, t: int) -> BoundReport:
@@ -362,8 +320,7 @@ def path_matching_bounds(n: int, k: int, t: int) -> BoundReport:
     if n < k + 1 + 2 * t:
         raise ValueError(f"n={n} below pattern vertex count {k + 1 + 2 * t}")
     lower = linear_form(t + (k + 1) // 2 - 2, n) + 2
-    params = TransferParams(k + 1, k, 0, Fraction(k // 2 - 1), Fraction(1 + k % 2), k + 1)
-    ub = transfer_upper_bound(n, t, params, "P2")
+    ub = transfer_upper_bound(n, t, _path_params(k), "P2")
     spec = Union(Path(k), Matching(t)) if t else Path(k)
     return BoundReport(spec, n, lower=lower, upper=ub.value, exact=None,
                        valid={"lower": True, "upper": ub.valid},
@@ -392,23 +349,19 @@ def cycle_matching_bounds(n: int, k: int, t: int) -> BoundReport:
                        provenance=("cycle+matching-pair",))
 
 
-def _short_path_matching(spec, n: int, t: int) -> BoundReport:
-    """P3 plus t >= 2 disjoint edges (t=1 dispatches as edge-plus-triples)."""
-    window = n > Fraction(5, 2) * t + 12
-    return _exact_report(spec, n, linear_form(t - 1, n) + 2, window,
-                         ["p3+matching-equality"])
-
-
 def triples_gamma(k_path_edges: int) -> Fraction:
     """Threshold constant for the path-plus-triples equality window."""
-    params = TransferParams(k_path_edges + 1, k_path_edges, 0,
-                            Fraction(k_path_edges // 2 - 1),
-                            Fraction(1 + k_path_edges % 2), k_path_edges + 1)
-    return triples_step_threshold(params)
+    return triples_step_threshold(_path_params(k_path_edges))
 
 
 def ar_family(n: int, spec: PatternSpec) -> BoundReport:
     """Evaluate the recognized family closed form or bound pair at n.
+
+    The pattern is normalized first: single edges (``Matching`` parts and
+    ``Path(1)``) count toward the matching part ``t``, two-edge paths
+    (``TriplePath`` parts and ``Path(2)``) toward the triple part ``k``, so
+    e.g. ``P3 + 2P2`` and ``2P2 + 1P3`` dispatch the same way.  At most one
+    longer path or cycle may join them.
 
     Exact values are flagged valid only when n clears the family's stated
     threshold; the one-sided lower bound from the covering construction is
@@ -417,70 +370,68 @@ def ar_family(n: int, spec: PatternSpec) -> BoundReport:
     g = build_pattern(spec)
     if n < g.n:
         raise ValueError(f"n={n} below pattern vertex count {g.n}")
-    shape = _recognize(spec)
-    kind = shape[0]
+    unrecognized = UnrecognizedFamilyError(f"no closed form for family {family_name(spec)}")
+    t = k = 0
+    big = None  # the one path with >= 3 edges or cycle, if any
+    for p in spec.parts if isinstance(spec, Union) else (spec,):
+        if isinstance(p, Matching):
+            t += p.t
+        elif isinstance(p, TriplePath):
+            k += p.k
+        elif p == Path(1):
+            t += 1
+        elif p == Path(2):
+            k += 1
+        elif isinstance(p, (Path, Cycle)) and big is None:
+            big = p
+        else:
+            raise unrecognized
 
-    if kind == "matching":
-        t = shape[1]
+    if big is None:
+        if k == 0:
+            if t == 1:
+                return _exact_report(spec, n, Fraction(1), True, ["single-edge-trivial"])
+            return replace(ar_matching(n, t), family=spec)
+        if t == 0:
+            if k == 1:
+                return _exact_report(spec, n, Fraction(2), True, ["two-edge-path-trivial"])
+            value = linear_form(k - 1, n) + 2
+            clique_lower = (k - 1) * (Fraction(9, 2) * k - 3) + 2
+            tags = ["triples-equality"]
+            if clique_lower > value:
+                tags.append("small-host-clique-lower")
+            return _exact_report(spec, n, value, n > 5 * k + 1, tags,
+                                 extra_lower=clique_lower if clique_lower > value else None)
         if t == 1:
-            return _exact_report(spec, n, Fraction(1), True, ["single-edge-trivial"])
-        return replace(ar_matching(n, t), family=spec)
-
-    if kind == "path":
-        k = shape[1]
-        if k == 1:
-            return _exact_report(spec, n, Fraction(1), True, ["single-edge-trivial"])
-        return ar_path(n, k)
-
-    if kind == "cycle":
-        return ar_cycle(n, shape[1])
-
-    if kind == "triples":
-        k = shape[1]
-        if k == 1:
-            return _exact_report(spec, n, Fraction(2), True, ["two-edge-path-trivial"])
-        value = linear_form(k - 1, n) + 2
-        clique_lower = (k - 1) * (Fraction(9, 2) * k - 3) + 2
-        tags = ["triples-equality"]
-        if clique_lower > value:
-            tags.append("small-host-clique-lower")
-        return _exact_report(spec, n, value, n > 5 * k + 1, tags,
-                             extra_lower=clique_lower if clique_lower > value else None)
-
-    if kind == "path+matching":
-        k, t = shape[1], shape[2]  # k >= 3: shorter paths merge into other shapes
-        if k == 3:
-            window = n > Fraction(5, 2) * t + Fraction(23, 2)
-            return _exact_report(spec, n, linear_form(t, n) + 2, window,
-                                 ["p4+matching-equality"])
-        return replace(path_matching_bounds(n, k, t), family=spec)
-
-    if kind == "cycle+matching":
-        k, t = shape[1], shape[2]
-        if k == 3:
-            window = n > Fraction(5, 2) * t + 6
-            return _exact_report(spec, n, linear_form(t, n) + 2, window,
-                                 ["c3+matching-equality"])
-        return replace(cycle_matching_bounds(n, k, t), family=spec)
-
-    if kind == "matching+triples":
-        t, k = shape[1], shape[2]
-        if t == 1:
-            window = n > 5 * k + 27
-            return _exact_report(spec, n, linear_form(k - 1, n) + 3, window,
+            return _exact_report(spec, n, linear_form(k - 1, n) + 3, n > 5 * k + 27,
                                  ["edge+triples-equality"])
         if k == 1:
-            return _short_path_matching(spec, n, t)
+            return _exact_report(spec, n, linear_form(t - 1, n) + 2,
+                                 n > Fraction(5, 2) * t + 12, ["p3+matching-equality"])
         threshold = min(5 * k + Fraction(13, 2) * t + 8,
                         Fraction(5, 2) * t + Fraction(19, 2) * k + 7)
         return _exact_report(spec, n, linear_form(k + t - 2, n) + 2,
                              n > threshold, ["matching+triples-equality"])
 
-    if kind == "path+triples":
-        p, k = shape[1], shape[2]
-        window = n > 5 * k + triples_gamma(p)
-        value = linear_form(k + p // 2 - 1, n) + 2 + p % 2
-        return _exact_report(spec, n, value, window,
-                             ["path+triples-equality", "large-n-window-unverified"])
+    if isinstance(big, Cycle):
+        if k:
+            raise unrecognized
+        if t == 0:
+            return ar_cycle(n, big.k)
+        if big.k == 3:
+            return _exact_report(spec, n, linear_form(t, n) + 2,
+                                 n > Fraction(5, 2) * t + 6, ["c3+matching-equality"])
+        return replace(cycle_matching_bounds(n, big.k, t), family=spec)
 
-    raise UnrecognizedFamilyError(f"no closed form for family {family_name(spec)}")
+    if k:
+        if t:
+            raise unrecognized
+        value = linear_form(k + big.k // 2 - 1, n) + 2 + big.k % 2
+        return _exact_report(spec, n, value, n > 5 * k + triples_gamma(big.k),
+                             ["path+triples-equality", "large-n-window-unverified"])
+    if t == 0:
+        return ar_path(n, big.k)
+    if big.k == 3:
+        return _exact_report(spec, n, linear_form(t, n) + 2,
+                             n > Fraction(5, 2) * t + Fraction(23, 2), ["p4+matching-equality"])
+    return replace(path_matching_bounds(n, big.k, t), family=spec)

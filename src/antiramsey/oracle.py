@@ -322,9 +322,12 @@ def verify_range(spec: PatternSpec, n_from: int, n_to: int,
     Any n where the formula claims validity but disagrees with the oracle is
     flagged in ``mismatches`` (the library's core soundness check: this list
     must stay empty).  Values outside validity windows are recorded as data.
-    Hosts beyond the feasibility ceiling are reported as skipped.
+    Hosts beyond the feasibility ceiling are reported as skipped.  A
+    reversed range (``n_from > n_to``) is an input error, not an empty pass.
     """
     _check_budget(node_budget)
+    if n_from > n_to:
+        raise ValueError(f"empty range: n_from={n_from} > n_to={n_to}")
     g = build_pattern(spec)
     rows = []
     mismatches = []

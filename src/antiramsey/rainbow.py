@@ -253,9 +253,3 @@ def find_rainbow(coloring: EdgeColoring,
     for v in isolated:
         assignment[v] = next(free)
     return Embedding(tuple(assignment))
-
-
-def is_rainbow_free(coloring: EdgeColoring,
-                    pattern: PatternSpec) -> bool:
-    """True iff the coloring has no rainbow copy of the pattern."""
-    return find_rainbow(coloring, pattern) is None

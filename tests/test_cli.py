@@ -197,6 +197,12 @@ class TestVerify:
         assert js["mismatches"] == []
         assert [r["status"] for r in js["rows"]] == [status]
 
+    def test_reversed_range_exits_one(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "C3",
+                             "--n-from", "6", "--n-to", "3")
+        assert code == 1
+        assert out == "" and "n_from=6" in err
+
     def test_skipped_small_exits_zero(self, capsys):
         js = run_json(capsys, "verify", "--family", "C4",
                       "--n-from", "3", "--n-to", "4")
@@ -222,5 +228,7 @@ class TestPlumbing:
         assert exc.value.code == 1
 
     def test_bad_grid_exits_one(self, capsys):
-        code, _out, _err = run(capsys, "formula", "--family", "C3", "--grid", "3-6")
-        assert code == 1
+        for grid in ("3-6", "9..5"):
+            code, out, err = run(capsys, "formula", "--family", "C3", "--grid", grid)
+            assert code == 1, grid
+            assert out == "" and grid in err

@@ -13,7 +13,7 @@ from antiramsey import (
     cover_coloring,
     cover_lower_bound,
     disjoint_union,
-    is_rainbow_free,
+    find_rainbow,
     q_cover,
     serialize_coloring,
 )
@@ -97,17 +97,17 @@ class TestRainbowFreeness:
     def test_cover_coloring_blocks_matching(self):
         coloring = cover_coloring(12, 2, 1)
         assert q_cover(build_pattern(Matching(4)), 1).value == 3  # > 2
-        assert is_rainbow_free(coloring, Matching(4))
+        assert find_rainbow(coloring, Matching(4)) is None
 
     @pytest.mark.parametrize("k,n", [(2, 8), (2, 10), (3, 11)])
     def test_cover_coloring_blocks_triples(self, k, n):
         coloring = cover_coloring(n, k - 1, 1)
         assert q_cover(build_pattern(TriplePath(k)), 1).value == k
-        assert is_rainbow_free(coloring, TriplePath(k))
+        assert find_rainbow(coloring, TriplePath(k)) is None
 
     @pytest.mark.parametrize("k,n", [(2, 6), (2, 10), (3, 9), (3, 12)])
     def test_clique_coloring_blocks_triples(self, k, n):
-        assert is_rainbow_free(clique_coloring(n, 3 * k - 2), TriplePath(k))
+        assert find_rainbow(clique_coloring(n, 3 * k - 2), TriplePath(k)) is None
 
     def test_appended_matching_instantiation(self):
         # fixed part plus t extra edges, cover size t + shift: the hypothesis
@@ -130,4 +130,4 @@ class TestRainbowFreeness:
                 g = build_pattern(spec)
                 for n in range(g.n, 11):
                     coloring = cover_coloring(n, t + shift, s)
-                    assert is_rainbow_free(coloring, spec), (spec, n)
+                    assert find_rainbow(coloring, spec) is None, (spec, n)

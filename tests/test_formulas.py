@@ -17,6 +17,7 @@ from antiramsey import (
     ar_family,
     ar_matching,
     ar_path,
+    build_pattern,
     cover_lower_bound,
     cycle_matching_bounds,
     integer_bounds,
@@ -223,10 +224,28 @@ class TestFamilyDispatch:
         Union(Path(4), Path(5)),
         Graph(4, [(0, 1), (2, 3)]),
         Union(Path(4), TriplePath(1), Matching(1)),
+        Union(Cycle(4), TriplePath(1)),
     ])
     def test_unrecognized(self, spec):
         with pytest.raises(UnrecognizedFamilyError):
             ar_family(30, spec)
+
+    @pytest.mark.parametrize("short_paths, canonical", [
+        (Union(Path(1), Path(1)), Matching(2)),
+        (Union(Cycle(3), Path(1)), Union(Cycle(3), Matching(1))),
+        (Union(Path(5), Path(2)), Union(Path(5), TriplePath(1))),
+        (Union(Path(1), Path(2), Path(2)), Union(Matching(1), TriplePath(2))),
+    ], ids=["2P2", "C3+P2", "P6+P3", "P2+2P3"])
+    def test_short_paths_count_as_edges_and_triples(self, short_paths, canonical):
+        def outcome(spec, n):
+            try:
+                rep = ar_family(n, spec)
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return rep.exact, rep.lower, rep.upper, rep.valid, rep.provenance
+
+        for n in range(build_pattern(canonical).n, 80):
+            assert outcome(short_paths, n) == outcome(canonical, n), n
 
     def test_report_json_shape(self):
         js = ar_family(11, Union(Cycle(4), Matching(1))).to_json()

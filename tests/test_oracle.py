@@ -13,7 +13,7 @@ from antiramsey import (
     build_pattern,
     cover_coloring,
     exact_ar,
-    is_rainbow_free,
+    find_rainbow,
     max_rainbow_free,
     q_cover,
     verify_range,
@@ -52,11 +52,11 @@ class TestWitness:
     @pytest.mark.parametrize("n,spec", [
         (4, Cycle(3)), (5, Matching(2)), (5, Path(3)), (5, Cycle(4)),
     ])
-    def test_witness_attains_maximum_and_is_rainbow_free(self, n, spec):
+    def test_witness_attains_maximum_and_has_no_rainbow_copy(self, n, spec):
         r = max_rainbow_free(n, spec)
         assert r.witness is not None
         assert r.witness.num_colors == r.max_rainbow_free_colors
-        assert is_rainbow_free(r.witness, spec)
+        assert find_rainbow(r.witness, spec) is None
 
     @pytest.mark.parametrize("spec,nodes", [
         (Cycle(3), 1_078),
@@ -115,7 +115,7 @@ class TestBudget:
         assert r.ar_exact is None
         assert r.nodes_explored == 200
         if r.witness is not None:
-            assert is_rainbow_free(r.witness, Cycle(3))
+            assert find_rainbow(r.witness, Cycle(3)) is None
             assert r.witness.num_colors == r.max_rainbow_free_colors
 
     @pytest.mark.parametrize("budget", [0, -1])
@@ -200,6 +200,10 @@ class TestVerifyRange:
         report = verify_range(Cycle(3), 8, 9)
         assert [row.status for row in report.rows] \
             == ["skipped-infeasible", "skipped-infeasible"]
+
+    def test_reversed_range_rejected(self):
+        with pytest.raises(ValueError, match="n_from=6 > n_to=3"):
+            verify_range(Cycle(3), 6, 3)
 
     def test_json_shape(self):
         js = verify_range(Matching(2), 5, 5).to_json()

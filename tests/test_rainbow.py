@@ -19,7 +19,6 @@ from antiramsey import (
     clique_coloring,
     cover_coloring,
     find_rainbow,
-    is_rainbow_free,
     monochromatic,
 )
 
@@ -40,21 +39,21 @@ class TestBasics:
 
     def test_monochromatic_host_has_no_two_edges(self):
         assert find_rainbow(monochromatic(5), Matching(2)) is None
-        assert is_rainbow_free(monochromatic(6), TriplePath(1))
+        assert find_rainbow(monochromatic(6), TriplePath(1)) is None
 
     def test_single_edge_always_found(self):
         assert find_rainbow(monochromatic(4), Matching(1)) is not None
 
     def test_all_distinct_triangle(self):
-        assert not is_rainbow_free(all_distinct(6), Cycle(3))
+        assert find_rainbow(all_distinct(6), Cycle(3)) is not None
 
     def test_cover_coloring_blocks_two_triples(self):
         assert find_rainbow(cover_coloring(11, 1, 1), TriplePath(2)) is None
 
     def test_clique_coloring_blocks_triples(self):
-        assert is_rainbow_free(clique_coloring(12, 4), TriplePath(2))
-        assert is_rainbow_free(clique_coloring(12, 4), TriplePath(3))
-        assert is_rainbow_free(clique_coloring(12, 7), TriplePath(3))
+        assert find_rainbow(clique_coloring(12, 4), TriplePath(2)) is None
+        assert find_rainbow(clique_coloring(12, 4), TriplePath(3)) is None
+        assert find_rainbow(clique_coloring(12, 7), TriplePath(3)) is None
 
     def test_pattern_larger_than_host(self):
         with pytest.raises(ValueError):
@@ -185,8 +184,8 @@ class TestHostSymmetry:
             for spec in PATTERNS:
                 if build_pattern(spec).n > n:
                     continue
-                assert is_rainbow_free(coloring, spec) \
-                    == is_rainbow_free(relabeled, spec), (perm, spec)
+                assert (find_rainbow(coloring, spec) is None) \
+                    == (find_rainbow(relabeled, spec) is None), (perm, spec)
 
     def test_determinism(self):
         coloring = cover_coloring(9, 2, 2)
@@ -206,4 +205,4 @@ class TestLargeRainbowFreeInstances:
     ])
     def test_twelve_vertex_hosts_complete_quickly(self, pattern, cover_size):
         coloring = cover_coloring(12, cover_size, 1)
-        assert is_rainbow_free(coloring, pattern)
+        assert find_rainbow(coloring, pattern) is None
