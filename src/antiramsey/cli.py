@@ -8,8 +8,8 @@ Exit codes: 0 success, 1 usage or input error, 2 infeasible host or
 exhausted search budget (for verify: any row ``inconclusive`` or
 ``skipped-infeasible``; ``skipped-small`` rows pass), 3 (verify) a closed
 form flagged valid disagrees with the exhaustive search, ahead of 2.  A
-reversed range (``formula --grid 9..5``, ``verify --n-from 6 --n-to 3``) is
-an input error and exits 1.
+reversed range (``formula --grid 9..5``, ``verify --n-from 6 --n-to 3``) and
+a negative ``verify`` host (``--n-from -3``) are input errors and exit 1.
 """
 
 from __future__ import annotations

@@ -26,11 +26,28 @@ enumerated once as sorted edge-rank tuples and indexed by their
 second-largest rank (``near``): coloring edge i leaves exactly the
 placements in ``near[i]`` with one uncolored edge.  Each edge keeps the bit
 mask of colors it may still take, the intersection of the color sets of the
-rainbow rests that block it; coloring edge i narrows the masks of the edges
-its placements block, and an undo stack restores them on backtrack.  The
-rainbow check is then one bit test: coloring edge i completes a rainbow copy
-exactly when its color is outside edge i's mask.  Host-vertex symmetry
-pruning is not attempted here (a known optimization hook).
+rainbow rests that block it; coloring edge i narrows, in a copy handed to
+the child, the masks of the edges its placements block.  The rainbow check
+is then one bit test: coloring edge i completes a rainbow copy exactly when
+its color is outside edge i's mask.
+
+The packing bound tightens the blocked-edge bound by one for each placement
+in a greedy packing (the "disjoint inconsistent subsets" bound of Max-SAT
+branch and bound).  A placement qualifies when its colored edges carry
+distinct colors and it has two or more uncolored edges, none of them
+blocked.  Fresh ids differ from each other and from every open color, so if
+each uncolored edge of such a placement took a fresh color the copy would be
+rainbow: at least one of them repeats a color.  Placements whose uncolored
+edge sets are pairwise disjoint therefore each cost a fresh color, and a
+branch is cut when (colors open) + (unblocked uncolored edges) - (packing
+size) cannot beat the incumbent.  Each packed placement uses two unblocked
+uncolored edges, so with slack = (colors open) + (unblocked uncolored
+edges) - (incumbent) the scan runs only where 2 * slack <= (unblocked
+uncolored edges), and stops once the packing reaches the slack.  Placement
+sets are bit masks over the placements with two or more edges: per frame a
+set of placements whose colored edges repeat a color, per color id the
+placements holding it, and per edge the placements through it.  Host-vertex
+symmetry pruning is not attempted here (a known optimization hook).
 
 The reported witness is the first incumbent attaining the final maximum in
 the fixed search order: pruning only cuts subtrees whose bound cannot beat
@@ -38,7 +55,7 @@ the incumbent, and the incumbent changes only on a strict improvement, so a
 tighter sound bound leaves the witness unchanged.  n <= 6 always completes.
 n = 7 runs under a default node budget and falls back to an explicit
 inconclusive result; C3, C4, C5, 3P2, 2P3, P4, P5 and C3+P2 all finish
-within it (C5, the slowest, in 1.8 M nodes).
+within it, C3+P2 the largest at 188,068 nodes.
 """
 
 from __future__ import annotations
@@ -93,7 +110,8 @@ class OracleResult:
         return out
 
 
-def _placement_index(n: int, g: Graph) -> tuple[list, list[int]]:
+def _placement_index(n: int, g: Graph) -> tuple[list, list[int], list[int],
+                                                 list[int]]:
     """Every placement of g into K_n, keyed by its second-largest edge rank.
 
     ``near[i]`` lists ``(prefix, ends)`` pairs: each ``prefix + (i, e)``
@@ -106,6 +124,11 @@ def _placement_index(n: int, g: Graph) -> tuple[list, list[int]]:
     edges of one-edge placements, whose empty rest is rainbow from the
     outset, and at -1 everywhere else.
 
+    The placements with two or more edges are also numbered once, in
+    lexicographic order of their rank tuples, and sets of them are bit masks
+    over those numbers: ``masks[p]`` is placement p's edge bit mask and
+    ``through[e]`` the set of placements through edge e.
+
     Distinct vertex maps giving the same edge set are deduplicated; only the
     edge set matters for rainbow-ness.  Vertices of degree zero are ignored
     (they never constrain a copy when the host is large enough, which the
@@ -114,19 +137,28 @@ def _placement_index(n: int, g: Graph) -> tuple[list, list[int]]:
     pverts = [v for v in range(g.n) if any(v in e for e in g.edges)]
     pos = {v: i for i, v in enumerate(pverts)}
     pedges = [(pos[u], pos[v]) for u, v in g.edge_list]
-    edge_sets = {frozenset(edge_index(n, image[a], image[b]) for a, b in pedges)
-                 for image in permutations(range(n), len(pverts))}
+    rank = [[edge_index(n, u, v) if u != v else -1 for v in range(n)]
+            for u in range(n)]
+    placements = {tuple(sorted([rank[image[a]][image[b]] for a, b in pedges]))
+                  for image in permutations(range(n), len(pverts))}
     m = n * (n - 1) // 2
     groups: list[dict[tuple[int, ...], list[int]]] = [{} for _ in range(m)]
     allowed = [-1] * m
-    for ranks in sorted(tuple(sorted(es)) for es in edge_sets):
+    wide = []
+    for ranks in sorted(placements):
         if len(ranks) == 1:
             allowed[ranks[0]] = 0
         else:
             groups[ranks[-2]].setdefault(ranks[:-2], []).append(ranks[-1])
+            wide.append(ranks)
     near = [[(prefix, tuple(ends)) for prefix, ends in group.items()]
             for group in groups]
-    return near, allowed
+    masks = [sum(1 << r for r in ranks) for ranks in wide]
+    through = [0] * m
+    for p, ranks in enumerate(wide):
+        for r in ranks:
+            through[r] |= 1 << p
+    return near, allowed, masks, through
 
 
 PROGRESS_INTERVAL = 1_000_000
@@ -162,17 +194,16 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
         node_budget = DEFAULT_BUDGET_N7
 
     m = n * (n - 1) // 2
-    near, allowed = _placement_index(n, g)
+    near, allowed, masks, through = _placement_index(n, g)
+    everything = (1 << len(masks)) - 1
+    # keyed by edge e's bit: the placements that miss e
+    missing = {1 << e: ~through[e] for e in range(m)}
+    # per color id: the placements with a colored edge of that color
+    tinted = [0] * (m + 1)
     # color ids tried at a node with cmax colors open: fresh first, then
     # reuse; a blocked edge only reuses
     orders = [(c, *range(c)) for c in range(m + 1)]
     reuses = [tuple(range(c)) for c in range(m + 1)]
-    # undo stack of (edge, its previous allowed mask); each placement is
-    # pushed at most once along a branch, when its second-largest edge is
-    # colored
-    depth = sum(len(ends) for rests in near for _, ends in rests)
-    undo_edge = [0] * depth
-    undo_mask = [0] * depth
     limit = -1 if node_budget is None else node_budget  # nodes never reaches -1
     color = [0] * m
     best = 0
@@ -181,13 +212,44 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
     budget_hit = False
     start = time.perf_counter()
 
-    def rec(i: int, cmax: int, free: int, top: int) -> None:
-        # free: uncolored edges (i..m-1) that are not blocked; top: undo depth
+    def rec(i: int, cmax: int, free: int, blocked: int, dead: int,
+            allowed: list[int]) -> None:
+        # free: uncolored edges (i..m-1) that are not blocked; blocked: bit
+        # mask of the blocked edges (bits below i are stale); dead: the
+        # placements whose colored edges repeat a color; allowed: this
+        # frame's color masks
         nonlocal best, best_colors, nodes, budget_hit
         if i == m:  # reached only when cmax > best
             best = cmax
             best_colors = color.copy()
             return
+        # packing bound: each placement packed costs one fresh color, and
+        # each uses two unblocked uncolored edges, so a packing can close
+        # the slack only when 2 * slack <= free
+        slack = cmax + free - best
+        if 2 * slack <= free:
+            # candidates: placements not dead and with no blocked uncolored
+            # edge.  One left with a single uncolored edge and a rainbow rest
+            # blocks that edge, and a fully colored one repeats a color (a
+            # rainbow copy is never kept), so each has two or more uncolored
+            # edges
+            high = -1 << i  # the uncolored edges
+            cand = everything & ~dead
+            rest = blocked & high
+            while rest:
+                b = rest & -rest
+                cand &= missing[b]
+                rest ^= b
+            found = 0
+            while cand:  # greedy in placement order; drop what overlaps
+                found += 1
+                if found == slack:
+                    return
+                rest = masks[(cand & -cand).bit_length() - 1] & high
+                while rest:
+                    b = rest & -rest
+                    cand &= missing[b]
+                    rest ^= b
         col = color
         # the prefixes below edge i are colored for the whole frame: keep the
         # color masks of the rainbow ones
@@ -230,25 +292,27 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
             # edge i leaves the uncolored set; each placement now left with
             # one uncolored edge and a rainbow rest blocks that edge
             left = free - own
-            t = top
+            blk = blocked
+            narrowed = allowed.copy()
             for mask, ends in live:
                 if not mask & bit:
                     mask |= bit
                     for e in ends:
-                        old = allowed[e]
+                        old = narrowed[e]
                         if old == -1:
                             left -= 1
-                        allowed[e] = old & mask
-                        undo_edge[t] = e
-                        undo_mask[t] = old
-                        t += 1
+                            blk |= 1 << e
+                        narrowed[e] = old & mask
             if nxt + left > best:
-                rec(i + 1, nxt, left, t)
-            while t > top:
-                t -= 1
-                allowed[undo_edge[t]] = undo_mask[t]
+                # placements through edge i with another edge of color c die
+                was = tinted[c]
+                tinted[c] = was | through[i]
+                rec(i + 1, nxt, left, blk, dead | (was & through[i]),
+                    narrowed)
+                tinted[c] = was
 
-    rec(0, 0, allowed.count(-1), 0)
+    rec(0, 0, allowed.count(-1),
+        sum(1 << e for e in range(m) if allowed[e] != -1), 0, allowed)
     elapsed = time.perf_counter() - start
     conclusive = not budget_hit
     witness = None if best_colors is None else EdgeColoring(n, tuple(best_colors))
@@ -323,11 +387,14 @@ def verify_range(spec: PatternSpec, n_from: int, n_to: int,
     flagged in ``mismatches`` (the library's core soundness check: this list
     must stay empty).  Values outside validity windows are recorded as data.
     Hosts beyond the feasibility ceiling are reported as skipped.  A
-    reversed range (``n_from > n_to``) is an input error, not an empty pass.
+    reversed range (``n_from > n_to``) and a negative host (``n_from < 0``)
+    are input errors, not an empty pass.
     """
     _check_budget(node_budget)
     if n_from > n_to:
         raise ValueError(f"empty range: n_from={n_from} > n_to={n_to}")
+    if n_from < 0:
+        raise ValueError(f"negative host: n_from={n_from}")
     g = build_pattern(spec)
     rows = []
     mismatches = []

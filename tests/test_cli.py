@@ -203,6 +203,12 @@ class TestVerify:
         assert code == 1
         assert out == "" and "n_from=6" in err
 
+    def test_negative_host_exits_one(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "C3",
+                             "--n-from", "-3", "--n-to", "2")
+        assert code == 1
+        assert out == "" and "n_from=-3" in err
+
     def test_skipped_small_exits_zero(self, capsys):
         js = run_json(capsys, "verify", "--family", "C4",
                       "--n-from", "3", "--n-to", "4")

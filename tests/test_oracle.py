@@ -1,5 +1,7 @@
 """Exhaustive color-maximization search: values, witnesses, consistency."""
 
+from functools import cache
+
 import pytest
 
 from antiramsey import (
@@ -10,16 +12,18 @@ from antiramsey import (
     Path,
     TriplePath,
     Union,
+    ar_cycle,
     build_pattern,
     cover_coloring,
     exact_ar,
     find_rainbow,
     max_rainbow_free,
+    oracle,
     q_cover,
     verify_range,
 )
 
-from brute import naive_has_rainbow, rg_strings
+from brute import iso_classes, naive_has_rainbow, rg_strings
 
 
 class TestKnownValues:
@@ -66,8 +70,31 @@ class TestWitness:
         (Path(4), 2_355),
         (Union(Cycle(3), Matching(1)), 13_345),
     ])
-    def test_node_count_pinned_at_n6(self, spec, nodes):
-        # pins the search order and the bounds: any change to either moves it
+    def test_node_count_pinned_at_n6(self, spec, nodes, monkeypatch):
+        # with no placement to pack the packing bound never cuts, so this
+        # pins the search order and the other bounds: any change to either
+        # moves it
+        index = oracle._placement_index
+
+        def unpackable(n, g):
+            near, allowed, masks, through = index(n, g)
+            return near, allowed, [], [0] * len(through)
+
+        monkeypatch.setattr(oracle, "_placement_index", unpackable)
+        r = max_rainbow_free(6, spec)
+        assert r.conclusive
+        assert r.nodes_explored == nodes
+
+    @pytest.mark.parametrize("spec,nodes", [
+        (Cycle(3), 375),
+        (Matching(3), 17_295),
+        (TriplePath(2), 1_281),
+        (Cycle(4), 2_388),
+        (Path(4), 445),
+        (Union(Cycle(3), Matching(1)), 10_416),
+    ])
+    def test_node_count_with_packing_pinned_at_n6(self, spec, nodes):
+        # pins the search order and every bound, the packing bound included
         r = max_rainbow_free(6, spec)
         assert r.conclusive
         assert r.nodes_explored == nodes
@@ -87,11 +114,47 @@ class TestWitness:
         r = max_rainbow_free(6, spec)
         assert r.witness.colors == tuple(int(ch) for ch in witness)
 
+    @pytest.mark.parametrize("spec,ar", [(Cycle(4), 9), (TriplePath(2), 8)])
+    def test_conclusive_at_n7_within_250k_nodes(self, spec, ar):
+        r = max_rainbow_free(7, spec, node_budget=250_000)
+        assert r.conclusive
+        assert r.ar_exact == ar
+        assert find_rainbow(r.witness, spec) is None
+        assert r.witness.num_colors == ar - 1
+
+    def test_c4_at_n7_equals_closed_form(self):
+        # the value pinned above for C4 is the cycle formula's
+        assert ar_cycle(7, 4).exact == 9
+
     def test_deterministic_across_runs(self):
         a = max_rainbow_free(5, Path(3))
         b = max_rainbow_free(5, Path(3))
         assert a.witness == b.witness
         assert a.nodes_explored == b.nodes_explored
+
+
+@cache
+def _five_vertex_patterns():
+    return [g for g in iso_classes(5, 7)
+            if g.num_edges >= 5 and min(g.degrees()) > 0]
+
+
+class TestPackingSoundness:
+    # maxima on K6 recorded before the packing bound, in iso_classes order;
+    # an unsound packing cuts the subtree of a better coloring and lowers one
+    MAXIMA = [7, 7, 6, 7, 8, 8, 10, 8, 8, 9, 10, 10, 10, 9]
+
+    def test_grid_has_every_pattern(self):
+        assert len(_five_vertex_patterns()) == len(self.MAXIMA)
+
+    @pytest.mark.parametrize("k,maximum", enumerate(MAXIMA))
+    def test_five_vertex_pattern_on_k6(self, k, maximum):
+        g = _five_vertex_patterns()[k]
+        r = max_rainbow_free(6, g)
+        assert r.conclusive
+        assert r.max_rainbow_free_colors == maximum
+        assert r.witness.num_colors == maximum
+        assert not naive_has_rainbow(r.witness, g)
 
 
 class TestValidation:
@@ -204,6 +267,11 @@ class TestVerifyRange:
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError, match="n_from=6 > n_to=3"):
             verify_range(Cycle(3), 6, 3)
+
+    @pytest.mark.parametrize("n_from,n_to", [(-3, 2), (-1, -1), (-1, 5)])
+    def test_negative_host_rejected(self, n_from, n_to):
+        with pytest.raises(ValueError, match=f"negative host: n_from={n_from}"):
+            verify_range(Cycle(3), n_from, n_to)
 
     def test_json_shape(self):
         js = verify_range(Matching(2), 5, 5).to_json()
