@@ -58,7 +58,7 @@ from .oracle import (
     max_rainbow_free,
     verify_range,
 )
-from .qcover import QResult, cover_by_counting, q_cover, q_union_matching
+from .qcover import QResult, q_cover, q_union_matching
 from .rainbow import Embedding, check_embedding, find_rainbow
 
 __version__ = "0.1.0"
@@ -70,8 +70,8 @@ __all__ = [
     "TriplePath", "Union", "UnrecognizedFamilyError",
     "all_distinct", "all_edges", "ar_cycle", "ar_family", "ar_matching",
     "ar_path", "build_pattern", "check_embedding", "clique_coloring",
-    "cover_by_counting", "cover_coloring", "cover_lower_bound",
-    "cycle_matching_bounds", "disjoint_union", "edge_index",
+    "cover_coloring", "cover_lower_bound", "cycle_matching_bounds",
+    "disjoint_union", "edge_index",
     "exact_ar", "family_name", "find_rainbow", "integer_bounds",
     "linear_form", "matching_step_threshold",
     "max_rainbow_free", "monochromatic", "parse_coloring", "parse_family",

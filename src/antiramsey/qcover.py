@@ -134,14 +134,6 @@ def q_cover(g: Graph, j: int) -> QResult:
                 return QResult(j, size, _lex_witness(g, active, masks, m, j, size))
 
 
-def cover_by_counting(g: Graph, size: int, slack: int) -> bool:
-    """Counting guarantee: if ``C(|V| - size, 2) <= slack`` then every set of
-    ``size`` vertices leaves at most ``slack`` edges, so q_slack(g) <= size."""
-    if size < 0 or slack < 0:
-        raise ValueError("size and slack must be nonnegative")
-    return comb(max(g.n - size, 0), 2) <= slack
-
-
 def q_union_matching(l_graph: Graph, t: int, t_reduced: int, j: int) -> int:
     """q_j of ``l_graph`` plus ``t`` disjoint edges, via the reduction
 

@@ -6,6 +6,16 @@ complete host whose edge images carry pairwise distinct colors.
 
 Search organization:
 
+* a color-count certificate runs before any search.  Take the pattern's
+  degrees d1 >= d2 >= ... and its edge count E.  For t = 0, 1, ... remove
+  the t hosts of highest color degree (ties to the lower index) and let k_t
+  be the number of colors left on the remaining host edges.  A copy has at
+  most d1 + ... + dt edges at a removed host, and its other edges need
+  distinct colors among the k_t left, so d1 + ... + dt + k_t < E proves
+  that no rainbow copy exists.  Step t = 0 is the pigeonhole exit (fewer
+  colors than pattern edges) and runs before the color matrix is built.
+  This settles the two-zone cover colorings, whose fresh colors all meet
+  the few cover hosts, however many inner colors they have;
 * pattern components are embedded largest-first; within a component vertices
   are placed in BFS order so every new vertex attaches to a placed one and
   color clashes surface as early as possible;
@@ -63,19 +73,17 @@ def check_embedding(coloring: EdgeColoring, pattern: PatternSpec,
 # Host twin classes
 # ---------------------------------------------------------------------------
 
-def _twin_partition(coloring: EdgeColoring, mat: list[list[int]]) -> list[int]:
+def _twin_partition(mat: list[list[int]], class_size: list[int]) -> list[int]:
     """Partition host vertices into interchangeability classes.
 
     u and v land in one class when swapping them maps every color class of
     the coloring onto a color class (possibly another one), so any embedding
     using v can be rewritten to use u.  The relation is transitive because
-    such structure-preserving swaps compose.  ``mat`` is ``color_matrix()``.
+    such structure-preserving swaps compose.  ``mat`` is ``color_matrix()``
+    and ``class_size[c]`` the number of host edges of color c.
     """
-    n = coloring.n
-    ncol = coloring.num_colors
-    class_size = [0] * ncol
-    for c in coloring.colors:
-        class_size[c] += 1
+    n = len(mat)
+    ncol = len(class_size)
     inc = [[0] * ncol for _ in range(n)]
     for u in range(n):
         row = mat[u]
@@ -120,6 +128,37 @@ def _twin_partition(coloring: EdgeColoring, mat: list[list[int]]) -> list[int]:
             if find(u) != find(v) and is_twin(u, v):
                 parent[find(v)] = find(u)
     return [find(v) for v in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Color-count certificate
+# ---------------------------------------------------------------------------
+
+def _colors_run_out(mat: list[list[int]], class_size: list[int],
+                    color_degree: list[int], degrees: list[int]) -> bool:
+    """Steps t >= 1 of the color-count certificate (module docstring).
+
+    True proves that no rainbow copy of a pattern with these vertex degrees
+    exists; False decides nothing.  Step t = 0 (pigeonhole) is the caller's.
+    """
+    need = sum(degrees) // 2  # E - (d1 + ... + dt)
+    kept = len(class_size)    # k_t
+    left = class_size[:]
+    # sort stability keeps the lower index first among equal color degrees
+    hosts = sorted(range(len(mat)), key=color_degree.__getitem__, reverse=True)
+    for t, d in enumerate(sorted(degrees, reverse=True)):
+        need -= d
+        if need <= 0:
+            return False
+        row = mat[hosts[t]]
+        for v in hosts[t + 1:]:  # the hosts not yet removed
+            c = row[v]
+            left[c] -= 1
+            if not left[c]:
+                kept -= 1
+        if kept < need:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +239,16 @@ def find_rainbow(coloring: EdgeColoring,
     if g.num_edges == 0:
         return Embedding(tuple(range(g.n)))
     if g.num_edges > coloring.num_colors:
-        return None  # pigeonhole: a rainbow copy needs a color per edge
+        return None  # certificate step t = 0: a copy needs a color per edge
 
     mat = coloring.color_matrix()
     color_degree = [len({c for c in row if c >= 0}) for row in mat]
-    twin = _twin_partition(coloring, mat)
+    class_size = [0] * coloring.num_colors
+    for c in coloring.colors:
+        class_size[c] += 1
+    if _colors_run_out(mat, class_size, color_degree, g.degrees()):
+        return None
+    twin = _twin_partition(mat, class_size)
     slots, isolated, pdeg = _build_plan(g)
 
     assignment = [-1] * g.n

@@ -8,7 +8,7 @@ strings.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 from antiramsey import EdgeColoring, Graph
@@ -77,16 +77,40 @@ def random_surjective_coloring(rng: random.Random, n: int,
 
 def iso_classes(num_vertices: int, max_edges: int) -> list[Graph]:
     """One representative per isomorphism class of graphs on exactly
-    ``num_vertices`` labeled vertices with 1..max_edges edges."""
+    ``num_vertices`` labeled vertices with 1..max_edges edges.
+
+    The class key is the smallest relabeled edge list over the relabelings
+    that list vertices by descending degree.  Isomorphic graphs have the
+    same such relabelings, so the key is exact, and the first edge set of
+    each class in ``combinations`` order is its representative.
+    """
     universe = list(combinations(range(num_vertices), 2))
-    perms = list(permutations(range(num_vertices)))
     seen: dict[tuple, Graph] = {}
     for m in range(1, max_edges + 1):
         for es in combinations(universe, m):
-            key = min(
-                tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in es))
-                for p in perms
-            )
+            deg = [0] * num_vertices
+            for u, v in es:
+                deg[u] += 1
+                deg[v] += 1
+            groups = [[v for v in range(num_vertices) if deg[v] == d]
+                      for d in sorted(set(deg), reverse=True)]
+            key = None
+            for choice in product(*(permutations(grp) for grp in groups)):
+                label = [0] * num_vertices
+                for i, v in enumerate(w for grp in choice for w in grp):
+                    label[v] = i
+                cand = tuple(sorted(tuple(sorted((label[u], label[v])))
+                                    for u, v in es))
+                if key is None or cand < key:
+                    key = cand
             if key not in seen:
                 seen[key] = Graph(num_vertices, es)
     return list(seen.values())
+
+
+def cover_by_counting(g: Graph, size: int, slack: int) -> bool:
+    """Counting guarantee: if ``C(|V| - size, 2) <= slack`` then every set of
+    ``size`` vertices leaves at most ``slack`` edges, so q_slack(g) <= size."""
+    if size < 0 or slack < 0:
+        raise ValueError("size and slack must be nonnegative")
+    return comb(max(g.n - size, 0), 2) <= slack

@@ -14,14 +14,13 @@ from antiramsey import (
     TriplePath,
     Union,
     build_pattern,
-    cover_by_counting,
     disjoint_union,
     q_cover,
     q_union_matching,
 )
 from antiramsey import qcover as qcover_module
 
-from brute import brute_q
+from brute import brute_q, cover_by_counting
 
 
 def pat(spec) -> Graph:

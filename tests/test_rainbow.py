@@ -21,8 +21,10 @@ from antiramsey import (
     find_rainbow,
     monochromatic,
 )
+from antiramsey import rainbow as rainbow_module
 
-from brute import naive_has_rainbow, random_surjective_coloring
+from brute import iso_classes, naive_has_rainbow, random_surjective_coloring
+from test_acceptance import _cover_instances
 
 PATTERNS = [
     Matching(1), Matching(2), TriplePath(1), Path(3), Path(4),
@@ -194,15 +196,109 @@ class TestHostSymmetry:
         assert runs[0] == runs[1] == runs[2]
 
 
+_TWELVE_VERTEX_COVERS = [
+    (Path(11), 4),
+    (Cycle(12), 4),
+    (Matching(6), 4),
+    (TriplePath(4), 3),
+    (Union(Path(7), Matching(2)), 3),
+]
+
+
 class TestLargeRainbowFreeInstances:
-    # adversarial inputs: rainbow-free hosts force the search to prove absence
-    @pytest.mark.parametrize("pattern,cover_size", [
-        (Path(11), 4),
-        (Cycle(12), 4),
-        (Matching(6), 4),
-        (TriplePath(4), 3),
-        (Union(Path(7), Matching(2)), 3),
-    ])
+    # adversarial inputs: on rainbow-free hosts every "no" must be proved
+    @pytest.mark.parametrize("pattern,cover_size", _TWELVE_VERTEX_COVERS)
     def test_twelve_vertex_hosts_complete_quickly(self, pattern, cover_size):
         coloring = cover_coloring(12, cover_size, 1)
         assert find_rainbow(coloring, pattern) is None
+
+    @pytest.mark.parametrize("pattern,cover_size", _TWELVE_VERTEX_COVERS)
+    def test_twin_classes_alone_keep_the_search_quick(self, pattern, cover_size,
+                                                      monkeypatch):
+        # the color-count certificate settles every case above; without it
+        # the search must still finish, because the inner hosts are twins
+        monkeypatch.setattr(rainbow_module, "_colors_run_out",
+                            lambda *_args: False)
+        coloring = cover_coloring(12, cover_size, 1)
+        assert find_rainbow(coloring, pattern) is None
+
+
+class _Searched(Exception):
+    """Raised in place of the search's set-up, to see which calls reach it."""
+
+
+def _refuse(*_args):
+    raise _Searched
+
+
+def _two_inner_color_instances(max_n):
+    """(pattern, host) for every instance of acceptance criterion 5 with two
+    inner colors, on hosts up to K_max_n."""
+    out = []
+    for spec, r1, s in _cover_instances():
+        if s == 2:
+            g = build_pattern(spec)
+            out += [(g, cover_coloring(n, r1, s)) for n in range(g.n, max_n + 1)]
+    return out
+
+
+def _six_vertex_patterns():
+    """Every class of ``iso_classes(6, 6)``, as listed and with its vertex
+    labels reversed, so the high-degree vertices come first in one copy and
+    last in the other."""
+    classes = iso_classes(6, 6)
+    flipped = [Graph(6, [(5 - u, 5 - v) for u, v in g.edges]) for g in classes]
+    return classes + flipped
+
+
+def _few_color_hosts():
+    rng = random.Random(3141)
+    hosts = [cover_coloring(n, r1, s)
+             for n in (6, 7) for r1 in range(3) for s in range(1, 4)]
+    hosts += [clique_coloring(n, k) for n in (6, 7) for k in range(2, n + 1)]
+    hosts += [random_surjective_coloring(rng, n, rng.randrange(2, 8))
+              for n in (6, 7) for _ in range(12)]
+    return hosts
+
+
+class TestColorCountCertificate:
+    def test_never_fires_where_a_copy_exists(self, monkeypatch):
+        # a call that returns without reaching the search was settled by the
+        # certificate; each such "no" past pigeonhole is checked by full
+        # enumeration
+        monkeypatch.setattr(rainbow_module, "_twin_partition", _refuse)
+        patterns = _six_vertex_patterns()
+        assert len(patterns) == 2 * 53  # every isomorphism class with 1..6 edges
+        fired = past_pigeonhole = 0
+        for coloring in _few_color_hosts():
+            for g in patterns:
+                try:
+                    verdict = find_rainbow(coloring, g)
+                except _Searched:
+                    continue
+                assert verdict is None
+                fired += 1
+                if g.num_edges <= coloring.num_colors:  # beyond pigeonhole
+                    assert not naive_has_rainbow(coloring, g), (g, coloring.colors)
+                    past_pigeonhole += 1
+        assert fired > 2500
+        assert past_pigeonhole > 200
+
+    def test_two_inner_color_covers_settle_without_search(self, monkeypatch):
+        monkeypatch.setattr(rainbow_module, "_twin_partition", _refuse)
+        monkeypatch.setattr(rainbow_module, "_build_plan", _refuse)
+        cases = _two_inner_color_instances(12)
+        assert len(cases) == 31
+        cases += [(Union(Matching(1), TriplePath(2)), cover_coloring(n, 1, 2))
+                  for n in range(11, 26)]
+        for pattern, coloring in cases:
+            assert find_rainbow(coloring, pattern) is None, (pattern, coloring.n)
+
+    def test_backtracking_alone_still_proves_absence(self, monkeypatch):
+        monkeypatch.setattr(rainbow_module, "_colors_run_out",
+                            lambda *_args: False)
+        cases = _two_inner_color_instances(9)
+        # six of the eleven have enough colors to get past pigeonhole
+        assert sum(g.num_edges <= c.num_colors for g, c in cases) == 6
+        for g, coloring in cases:
+            assert find_rainbow(coloring, g) is None, (g, coloring.n)
