@@ -7,10 +7,8 @@ exhaustive small-n oracle - each cross-validating the others.
 
 from .colorings import (
     EdgeColoring,
-    all_distinct,
     all_edges,
     edge_index,
-    monochromatic,
     parse_coloring,
     serialize_coloring,
 )
@@ -47,35 +45,32 @@ from .graphs import (
     family_name,
     parse_family,
     parse_graph,
-    serialize_graph,
 )
 from .oracle import (
-    OracleInconclusive,
     OracleResult,
     RangeReport,
     RangeRow,
-    exact_ar,
     max_rainbow_free,
     verify_range,
 )
-from .qcover import QResult, q_cover, q_union_matching
+from .qcover import QResult, q_cover
 from .rainbow import Embedding, check_embedding, find_rainbow
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "Cycle", "EdgeColoring", "Embedding", "Graph",
-    "Matching", "OracleInconclusive", "OracleResult", "Path", "PatternSpec",
+    "Matching", "OracleResult", "Path", "PatternSpec",
     "QResult", "RangeReport", "RangeRow", "TransferBound", "TransferParams",
     "TriplePath", "Union", "UnrecognizedFamilyError",
-    "all_distinct", "all_edges", "ar_cycle", "ar_family", "ar_matching",
+    "all_edges", "ar_cycle", "ar_family", "ar_matching",
     "ar_path", "build_pattern", "check_embedding", "clique_coloring",
     "cover_coloring", "cover_lower_bound", "cycle_matching_bounds",
     "disjoint_union", "edge_index",
-    "exact_ar", "family_name", "find_rainbow", "integer_bounds",
+    "family_name", "find_rainbow", "integer_bounds",
     "linear_form", "matching_step_threshold",
-    "max_rainbow_free", "monochromatic", "parse_coloring", "parse_family",
-    "parse_graph", "path_matching_bounds", "q_cover", "q_union_matching",
-    "serialize_coloring", "serialize_graph", "transfer_upper_bound",
+    "max_rainbow_free", "parse_coloring", "parse_family",
+    "parse_graph", "path_matching_bounds", "q_cover",
+    "serialize_coloring", "transfer_upper_bound",
     "triples_gamma", "triples_step_threshold", "verify_range",
 ]

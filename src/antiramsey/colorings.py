@@ -61,23 +61,6 @@ class EdgeColoring:
             mat[u][v] = mat[v][u] = self.colors[idx]
         return mat
 
-    def relabel(self, perm: list[int]) -> "EdgeColoring":
-        """Coloring obtained by renaming host vertex ``v`` to ``perm[v]``."""
-        out = [0] * len(self.colors)
-        for idx, (u, v) in enumerate(all_edges(self.n)):
-            out[edge_index(self.n, perm[u], perm[v])] = self.colors[idx]
-        return EdgeColoring(self.n, tuple(out))
-
-
-def monochromatic(n: int) -> EdgeColoring:
-    """Every edge in one color."""
-    return EdgeColoring(n, tuple([0] * comb(n, 2)))
-
-
-def all_distinct(n: int) -> EdgeColoring:
-    """Every edge its own color."""
-    return EdgeColoring(n, tuple(range(comb(n, 2))))
-
 
 # ---------------------------------------------------------------------------
 # Coloring text format

@@ -259,9 +259,3 @@ def parse_graph(text: str) -> Graph:
             raise ValueError(f"duplicate edge ({u},{v})")
         edges.add((u, v))
     return Graph(n, edges)
-
-
-def serialize_graph(g: Graph) -> str:
-    lines = [f"{g.n} {g.num_edges}"]
-    lines += [f"{u} {v}" for u, v in g.edge_list]
-    return "\n".join(lines) + "\n"

@@ -64,22 +64,12 @@ import time
 from dataclasses import dataclass
 from itertools import permutations
 
-from .colorings import EdgeColoring, edge_index
+from .colorings import EdgeColoring, edge_index, serialize_coloring
 from .formulas import ar_family
 from .graphs import Graph, PatternSpec, build_pattern, family_name
 
 HARD_CEILING = 7
 DEFAULT_BUDGET_N7 = 30_000_000
-
-
-class OracleInconclusive(RuntimeError):
-    """Node budget ran out; carries the best (lower-bound) result found."""
-
-    def __init__(self, result: "OracleResult"):
-        super().__init__(
-            f"budget exhausted after {result.nodes_explored} nodes; "
-            f"best rainbow-free coloring found has {result.max_rainbow_free_colors} colors")
-        self.result = result
 
 
 @dataclass(frozen=True)
@@ -94,8 +84,6 @@ class OracleResult:
     conclusive: bool
 
     def to_json(self, meta: bool = True) -> dict:
-        from .colorings import serialize_coloring
-
         out = {
             "n": self.n,
             "pattern": family_name(self.pattern),
@@ -325,16 +313,6 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
         elapsed=elapsed,
         conclusive=conclusive,
     )
-
-
-def exact_ar(n: int, pattern: PatternSpec,
-             node_budget: int | None = None) -> int:
-    """Exact anti-Ramsey value: max rainbow-free colors plus one."""
-    result = max_rainbow_free(n, pattern, node_budget)
-    if not result.conclusive:
-        raise OracleInconclusive(result)
-    assert result.ar_exact is not None
-    return result.ar_exact
 
 
 # ---------------------------------------------------------------------------

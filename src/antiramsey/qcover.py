@@ -8,10 +8,11 @@ r-set admits no rainbow copy of G.
 
 The default strategy enumerates subsets in ascending cardinality (bitmask
 incidence, first hit in ``itertools.combinations`` order is the lex-smallest
-witness).  Pattern graphs here are small with tiny optimal covers, so that is
-usually instant; a branch-and-bound fallback (degree-sum lower bound,
-branching on the first uncovered edge) guards larger custom inputs, with
-the witness rebuilt lexicographically afterwards.
+witness), starting at ``ceil((m - j) / max_deg)``: one vertex covers at most
+max_deg of the m edges.  Pattern graphs here are small with tiny optimal
+covers, so that is usually instant; a branch-and-bound fallback (branching on
+the first uncovered edge, or writing it off against the slack) guards larger
+custom inputs, with the witness rebuilt lexicographically afterwards.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph, Matching, build_pattern, disjoint_union
+from .graphs import Graph
 
 # Max number of subsets to scan per cardinality before switching to
 # branch-and-bound.
@@ -133,23 +134,3 @@ def q_cover(g: Graph, j: int) -> QResult:
             if _exists_cover(g.edge_list, masks, 0, 0, size, j, allowed):
                 return QResult(j, size, _lex_witness(g, active, masks, m, j, size))
 
-
-def q_union_matching(l_graph: Graph, t: int, t_reduced: int, j: int) -> int:
-    """q_j of ``l_graph`` plus ``t`` disjoint edges, via the reduction
-
-        min over 0 <= i <= min(j, t - t_reduced) of
-            (t - t_reduced) - i + q_{j-i}(l_graph + t_reduced edges).
-
-    Each spare matching edge is either bought into the cover (one vertex) or
-    written off against the slack.  Must agree with ``q_cover`` computed on
-    the full union directly.
-    """
-    if not (0 <= t_reduced <= t):
-        raise ValueError("need 0 <= t_reduced <= t")
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    base = disjoint_union(l_graph, build_pattern(Matching(t_reduced))) \
-        if t_reduced else l_graph
-    spare = t - t_reduced
-    return min(spare - i + q_cover(base, j - i).value
-               for i in range(0, min(j, spare) + 1))

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and independent of the library's search
 code: plain nested loops over injective maps, subsets, and set-partition
-strings.
+strings.  The small fixtures only the tests need live here too: the one-color
+and all-distinct colorings, host relabeling, and the edge-list text writer.
 """
 
 from __future__ import annotations
@@ -114,3 +115,29 @@ def cover_by_counting(g: Graph, size: int, slack: int) -> bool:
     if size < 0 or slack < 0:
         raise ValueError("size and slack must be nonnegative")
     return comb(max(g.n - size, 0), 2) <= slack
+
+
+def monochromatic(n: int) -> EdgeColoring:
+    """Every edge of K_n in one color."""
+    return EdgeColoring(n, (0,) * comb(n, 2))
+
+
+def all_distinct(n: int) -> EdgeColoring:
+    """Every edge of K_n its own color."""
+    return EdgeColoring(n, tuple(range(comb(n, 2))))
+
+
+def relabel(coloring: EdgeColoring, perm: list[int]) -> EdgeColoring:
+    """The coloring obtained by renaming host vertex ``v`` to ``perm[v]``."""
+    inv = [0] * coloring.n
+    for v, w in enumerate(perm):
+        inv[w] = v
+    return EdgeColoring(coloring.n, tuple(
+        coloring.color(inv[a], inv[b]) for a, b in combinations(range(coloring.n), 2)))
+
+
+def serialize_graph(g: Graph) -> str:
+    """``g`` in the edge-list text format that ``parse_graph`` reads."""
+    lines = [f"{g.n} {g.num_edges}"]
+    lines += [f"{u} {v}" for u, v in g.edge_list]
+    return "\n".join(lines) + "\n"

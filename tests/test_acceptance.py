@@ -22,7 +22,6 @@ from antiramsey import (
     cover_coloring,
     cover_lower_bound,
     cycle_matching_bounds,
-    exact_ar,
     find_rainbow,
     matching_step_threshold,
     max_rainbow_free,
@@ -42,13 +41,13 @@ def _report(num: int, name: str) -> None:
 def test_criterion_1_oracle_matches_cycle_closed_form():
     for n, expected in [(3, 3), (4, 4), (5, 5), (6, 6)]:
         assert ar_cycle(n, 3).exact == expected
-        assert exact_ar(n, Cycle(3)) == expected, n
+        assert max_rainbow_free(n, Cycle(3)).ar_exact == expected, n
     _report(1, "exhaustive search equals the cycle closed form, n=3..6")
 
 
 def test_criterion_2_oracle_matches_two_edge_fixture():
     for n in (5, 6):
-        assert exact_ar(n, Matching(2)) == 2, n
+        assert max_rainbow_free(n, Matching(2)).ar_exact == 2, n
     _report(2, "exhaustive search gives 2 for two disjoint edges, n=5..6")
 
 

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from antiramsey import parse_coloring, serialize_coloring, serialize_graph
-from antiramsey import all_distinct, build_pattern, monochromatic
+from antiramsey import build_pattern, parse_coloring, serialize_coloring
 from antiramsey.cli import main
 from antiramsey.graphs import Path
 from antiramsey.oracle import RangeReport
+
+from brute import all_distinct, monochromatic, serialize_graph
 
 
 def run(capsys, *argv):

@@ -8,14 +8,12 @@ from antiramsey import (
     Cycle,
     Graph,
     Matching,
-    OracleInconclusive,
     Path,
     TriplePath,
     Union,
     ar_cycle,
     build_pattern,
     cover_coloring,
-    exact_ar,
     find_rainbow,
     max_rainbow_free,
     oracle,
@@ -34,12 +32,12 @@ class TestKnownValues:
 
     @pytest.mark.parametrize("n,expected", [(3, 3), (4, 4), (5, 5)])
     def test_triangle_small(self, n, expected):
-        assert exact_ar(n, Cycle(3)) == expected
+        assert max_rainbow_free(n, Cycle(3)).ar_exact == expected
 
     def test_triangle_matches_closed_form(self):
         from antiramsey import ar_cycle
         for n in (4, 5):
-            assert exact_ar(n, Cycle(3)) == ar_cycle(n, 3).exact
+            assert max_rainbow_free(n, Cycle(3)).ar_exact == ar_cycle(n, 3).exact
 
     def test_single_edge_degenerate(self):
         r = max_rainbow_free(4, Matching(1))
@@ -49,7 +47,7 @@ class TestKnownValues:
 
     def test_perfect_matching_on_four_vertices(self):
         # the one perfect-matching case outside every closed form
-        assert exact_ar(4, Matching(2)) == 4
+        assert max_rainbow_free(4, Matching(2)).ar_exact == 4
 
 
 class TestWitness:
@@ -186,11 +184,6 @@ class TestBudget:
         with pytest.raises(ValueError, match="budget"):
             max_rainbow_free(5, Cycle(3), node_budget=budget)
 
-    def test_exact_ar_raises_when_inconclusive(self):
-        with pytest.raises(OracleInconclusive) as exc:
-            exact_ar(6, Cycle(3), node_budget=200)
-        assert exc.value.result.max_rainbow_free_colors >= 0
-
 
 class TestNormalFormCompleteness:
     def test_branch_and_bound_matches_full_enumeration_spot(self):
@@ -231,7 +224,7 @@ class TestConsistency:
             Graph(5, [(0, 1), (1, 2), (2, 3)]),
             Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
         ]
-        values = [exact_ar(5, g) for g in chain]
+        values = [max_rainbow_free(5, g).ar_exact for g in chain]
         assert values == sorted(values)
 
 

@@ -16,7 +16,6 @@ from antiramsey import (
     build_pattern,
     disjoint_union,
     q_cover,
-    q_union_matching,
 )
 from antiramsey import qcover as qcover_module
 
@@ -169,19 +168,34 @@ class TestProperties:
             assert q_cover(g, slack).value <= size
 
 
+def reduced_q(l_graph: Graph, t: int, t_reduced: int, j: int) -> int:
+    """q_j(L + tP2) from q_cover on the smaller union L + t_reduced P2:
+
+        min over 0 <= i <= min(j, t - t_reduced) of
+            (t - t_reduced) - i + q_{j-i}(L + t_reduced P2).
+
+    Each spare matching edge is either bought into the cover (one vertex) or
+    written off against the slack.
+    """
+    base = disjoint_union(l_graph, pat(Matching(t_reduced))) if t_reduced else l_graph
+    spare = t - t_reduced
+    return min(spare - i + q_cover(base, j - i).value
+               for i in range(min(j, spare) + 1))
+
+
 class TestUnionMatchingReduction:
     def test_pinned_example(self):
-        assert q_union_matching(pat(Path(2)), 3, 1, 1) == 3
+        assert reduced_q(pat(Path(2)), 3, 1, 1) == 3
         assert q_cover(pat(Union(Path(2), Matching(3))), 1).value == 3
 
     def test_identity_when_nothing_reduced(self):
         l_graph = pat(Cycle(3))
         full = pat(Union(Cycle(3), Matching(2)))
         for j in range(3):
-            assert q_union_matching(l_graph, 2, 2, j) == q_cover(full, j).value
+            assert reduced_q(l_graph, 2, 2, j) == q_cover(full, j).value
 
     def test_empty_fixed_part(self):
-        assert q_union_matching(Graph(0), 2, 2, 0) == 2  # two disjoint edges, no slack
+        assert reduced_q(Graph(0), 2, 2, 0) == 2  # two disjoint edges, no slack
 
     def test_agrees_with_direct_computation(self):
         rng = random.Random(4242)
@@ -194,13 +208,7 @@ class TestUnionMatchingReduction:
             j = rng.randrange(0, 4)
             direct = q_cover(disjoint_union(l_graph, pat(Matching(t))) if t
                              else l_graph, j).value
-            assert q_union_matching(l_graph, t, t2, j) == direct
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            q_union_matching(Graph(0), 1, 2, 0)
-        with pytest.raises(ValueError):
-            q_union_matching(Graph(0), 2, 1, -1)
+            assert reduced_q(l_graph, t, t2, j) == direct
 
 
 class TestBranchAndBoundFallback:

@@ -13,17 +13,22 @@ from antiramsey import (
     Path,
     TriplePath,
     Union,
-    all_distinct,
     build_pattern,
     check_embedding,
     clique_coloring,
     cover_coloring,
     find_rainbow,
-    monochromatic,
 )
 from antiramsey import rainbow as rainbow_module
 
-from brute import iso_classes, naive_has_rainbow, random_surjective_coloring
+from brute import (
+    all_distinct,
+    iso_classes,
+    monochromatic,
+    naive_has_rainbow,
+    random_surjective_coloring,
+    relabel,
+)
 from test_acceptance import _cover_instances
 
 PATTERNS = [
@@ -182,7 +187,7 @@ class TestHostSymmetry:
             coloring = random_surjective_coloring(rng, n, rng.randrange(1, 8))
             perm = list(range(n))
             rng.shuffle(perm)
-            relabeled = coloring.relabel(perm)
+            relabeled = relabel(coloring, perm)
             for spec in PATTERNS:
                 if build_pattern(spec).n > n:
                     continue
