@@ -56,9 +56,13 @@ class EdgeColoring:
 
     def color_matrix(self) -> list[list[int]]:
         """Dense n-by-n lookup (diagonal entries are -1)."""
-        mat = [[-1] * self.n for _ in range(self.n)]
-        for idx, (u, v) in enumerate(all_edges(self.n)):
-            mat[u][v] = mat[v][u] = self.colors[idx]
+        n = self.n
+        mat = [[-1] * n for _ in range(n)]
+        cols = iter(self.colors)  # row-major upper triangle: edge rank order
+        for u in range(n):
+            row = mat[u]
+            for v in range(u + 1, n):
+                row[v] = mat[v][u] = next(cols)
         return mat
 
 

@@ -27,7 +27,10 @@ Search organization:
   any set of currently unused, interchangeable host vertices (vertices whose
   transposition maps the coloring onto itself up to renaming colors) only the
   smallest is tried.  Both prunings preserve completeness: any embedding can
-  be rewritten into one the restricted search still visits.
+  be rewritten into one the restricted search still visits.  The colors of
+  each host row are counted once per call; a host pair gets the full twin
+  test only when the two rows have equal sorted color counts, which every
+  twin pair has.
 
 Colors couple across components, so per-component results are never cached;
 components are re-driven lazily under the shared used-color set.
@@ -35,6 +38,7 @@ components are re-driven lazily under the shared used-color set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .colorings import EdgeColoring
@@ -73,23 +77,22 @@ def check_embedding(coloring: EdgeColoring, pattern: PatternSpec,
 # Host twin classes
 # ---------------------------------------------------------------------------
 
-def _twin_partition(mat: list[list[int]], class_size: list[int]) -> list[int]:
+def _twin_partition(mat: list[list[int]], class_size: list[int],
+                    inc: list[Counter]) -> list[int]:
     """Partition host vertices into interchangeability classes.
 
     u and v land in one class when swapping them maps every color class of
     the coloring onto a color class (possibly another one), so any embedding
-    using v can be rewritten to use u.  The relation is transitive because
-    such structure-preserving swaps compose.  ``mat`` is ``color_matrix()``
-    and ``class_size[c]`` the number of host edges of color c.
+    using v can be rewritten to use u.  The relation is transitive by
+    conjugation: (u w) = (u v)(v w)(u v), and a composite of maps that carry
+    color classes onto color classes is again one.  ``mat`` is
+    ``color_matrix()``, ``class_size[c]`` the number of host edges of color c
+    and ``inc[u]`` the ``Counter`` of row u.  A twin swap comes with a color
+    bijection that carries row u onto row v entry by entry, so twins have
+    equal sorted color counts; pairs whose counts differ are never tested.
     """
     n = len(mat)
-    ncol = len(class_size)
-    inc = [[0] * ncol for _ in range(n)]
-    for u in range(n):
-        row = mat[u]
-        for v in range(n):
-            if v != u:
-                inc[u][row[v]] += 1
+    profile = [sorted(counts.values()) for counts in inc]  # each has the diagonal's 1
 
     def appears_elsewhere(c: int, u: int, v: int) -> bool:
         cnt = class_size[c] - inc[u][c] - inc[v][c]
@@ -125,7 +128,7 @@ def _twin_partition(mat: list[list[int]], class_size: list[int]) -> list[int]:
 
     for u in range(n):
         for v in range(u + 1, n):
-            if find(u) != find(v) and is_twin(u, v):
+            if profile[u] == profile[v] and find(u) != find(v) and is_twin(u, v):
                 parent[find(v)] = find(u)
     return [find(v) for v in range(n)]
 
@@ -242,13 +245,14 @@ def find_rainbow(coloring: EdgeColoring,
         return None  # certificate step t = 0: a copy needs a color per edge
 
     mat = coloring.color_matrix()
-    color_degree = [len({c for c in row if c >= 0}) for row in mat]
+    inc = [Counter(row) for row in mat]
+    color_degree = [len(counts) - 1 for counts in inc]  # less the diagonal -1
     class_size = [0] * coloring.num_colors
     for c in coloring.colors:
         class_size[c] += 1
     if _colors_run_out(mat, class_size, color_degree, g.degrees()):
         return None
-    twin = _twin_partition(mat, class_size)
+    twin = _twin_partition(mat, class_size, inc)
     slots, isolated, pdeg = _build_plan(g)
 
     assignment = [-1] * g.n

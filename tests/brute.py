@@ -1,9 +1,10 @@
 """Brute-force reference implementations the tests check the library against.
 
 Everything here is deliberately naive and independent of the library's search
-code: plain nested loops over injective maps, subsets, and set-partition
-strings.  The small fixtures only the tests need live here too: the one-color
-and all-distinct colorings, host relabeling, and the edge-list text writer.
+code: plain nested loops over injective maps, subsets, set-partition strings
+and vertex transpositions.  The small fixtures only the tests need live here
+too: the one-color and all-distinct colorings, host relabeling, and the
+edge-list text writer.
 """
 
 from __future__ import annotations
@@ -134,6 +135,30 @@ def relabel(coloring: EdgeColoring, perm: list[int]) -> EdgeColoring:
         inv[w] = v
     return EdgeColoring(coloring.n, tuple(
         coloring.color(inv[a], inv[b]) for a, b in combinations(range(coloring.n), 2)))
+
+
+def twin_partition(coloring: EdgeColoring) -> list[int]:
+    """Label each host vertex with its smallest twin, by trying every swap.
+
+    u and v are twins when the coloring with u and v swapped is a color
+    renaming of the original: one color map, injective, carries every
+    edge's color to the color of its image edge.
+    """
+    n = coloring.n
+
+    def swap_is_renaming(u: int, v: int) -> bool:
+        swap = list(range(n))
+        swap[u], swap[v] = v, u
+        forward: dict[int, int] = {}
+        for a, b in combinations(range(n), 2):
+            c = coloring.color(a, b)
+            image = coloring.color(swap[a], swap[b])
+            if forward.setdefault(c, image) != image:
+                return False
+        return len(set(forward.values())) == len(forward)
+
+    return [next(u for u in range(v + 1) if u == v or swap_is_renaming(u, v))
+            for v in range(n)]
 
 
 def serialize_graph(g: Graph) -> str:

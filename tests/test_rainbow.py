@@ -1,6 +1,9 @@
 """Rainbow-copy search: soundness, completeness, and symmetry."""
 
 import random
+from collections import Counter
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -28,6 +31,7 @@ from brute import (
     naive_has_rainbow,
     random_surjective_coloring,
     relabel,
+    twin_partition,
 )
 from test_acceptance import _cover_instances
 
@@ -199,6 +203,94 @@ class TestHostSymmetry:
         runs = [find_rainbow(coloring, Union(TriplePath(1), Matching(1)))
                 for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
+
+
+class TestColorMatrix:
+    def test_entries_are_edge_colors(self):
+        rng = random.Random(99)
+        hosts = [monochromatic(n) for n in range(9)] + [all_distinct(n) for n in range(9)]
+        hosts += [random_surjective_coloring(rng, n, rng.randrange(1, 12))
+                  for n in range(2, 9) for _ in range(5)]
+        for coloring in hosts:
+            mat = coloring.color_matrix()
+            assert len(mat) == coloring.n
+            for u in range(coloring.n):
+                assert len(mat[u]) == coloring.n
+                assert mat[u][u] == -1
+                for v in range(coloring.n):
+                    if v != u:
+                        assert mat[u][v] == coloring.color(u, v), (coloring, u, v)
+
+
+def _library_twins(coloring):
+    """``_twin_partition`` fed as ``find_rainbow`` feeds it."""
+    mat = coloring.color_matrix()
+    class_size = [coloring.colors.count(c) for c in range(coloring.num_colors)]
+    return rainbow_module._twin_partition(mat, class_size,
+                                          [Counter(row) for row in mat])
+
+
+def _planted_twin_colorings():
+    """Seeded colorings made of vertex types: an edge's color depends only on
+    the types of its ends, except for edges recolored at random, so vertices
+    of one type are twins until noise separates them."""
+    rng = random.Random(4242)
+    out = []
+    for _ in range(120):
+        n = rng.randint(3, 10)
+        kinds = rng.randint(1, n)
+        kind = [rng.randrange(kinds) for _ in range(n)]
+        palette = rng.randint(1, 6)
+        table = {}
+        cols = []
+        for u, v in combinations(range(n), 2):
+            key = tuple(sorted((kind[u], kind[v])))
+            if rng.random() < 0.1:
+                cols.append(palette + len(cols))  # a fresh color
+            else:
+                cols.append(table.setdefault(key, rng.randrange(palette)))
+        ids = {c: i for i, c in enumerate(sorted(set(cols)))}
+        out.append(EdgeColoring(n, tuple(ids[c] for c in cols)))
+    return out
+
+
+def _twin_test_colorings():
+    rng = random.Random(31)
+    structured = [cover_coloring(n, r1, s)
+                  for n in range(2, 11) for r1 in range(4) for s in range(1, 4)
+                  if r1 < n and s <= comb(n - r1, 2)]
+    structured += [clique_coloring(n, k) for n in range(2, 11) for k in range(2, n + 1)]
+    relabeled = []
+    for coloring in structured:
+        perm = list(range(coloring.n))
+        rng.shuffle(perm)
+        relabeled.append(relabel(coloring, perm))
+    return structured + relabeled + _planted_twin_colorings()
+
+
+class TestTwinPartition:
+    def test_matches_swap_enumeration(self):
+        colorings = _twin_test_colorings()
+        with_twins = 0
+        for coloring in colorings:
+            naive = twin_partition(coloring)
+            assert _library_twins(coloring) == naive, coloring
+            with_twins += len(set(naive)) < coloring.n
+        assert with_twins > 300
+
+    def test_twins_have_equal_color_count_profiles(self):
+        # the soundness condition of the pre-filter, on the naive relation
+        pairs = 0
+        for coloring in _twin_test_colorings():
+            naive = twin_partition(coloring)
+            profile = [sorted(Counter(coloring.color(u, x) for x in range(coloring.n)
+                                      if x != u).values())
+                       for u in range(coloring.n)]
+            for u, v in combinations(range(coloring.n), 2):
+                if naive[u] == naive[v]:
+                    assert profile[u] == profile[v], (coloring, u, v)
+                    pairs += 1
+        assert pairs > 1000
 
 
 _TWELVE_VERTEX_COVERS = [
