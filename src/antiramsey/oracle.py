@@ -21,15 +21,16 @@ automatically surjective.  Depth-first branch and bound:
 * fresh color first, then existing ids in ascending order - strong
   incumbents appear early, which is what makes the bound bite.
 
-Blocking is tracked incrementally.  All placements of the pattern are
-enumerated once as sorted edge-rank tuples and indexed by their
-second-largest rank (``near``): coloring edge i leaves exactly the
-placements in ``near[i]`` with one uncolored edge.  Each edge keeps the bit
-mask of colors it may still take, the intersection of the color sets of the
-rainbow rests that block it; coloring edge i narrows, in a copy handed to
-the child, the masks of the edges its placements block.  The rainbow check
-is then one bit test: coloring edge i completes a rainbow copy exactly when
-its color is outside edge i's mask.
+Every piece of search state is a set of placements.  All placements of the
+pattern are enumerated and numbered once, and a set of them is a bit mask
+over those numbers.  Each frame carries the placements whose colored edges
+repeat a color (``dead``), and each color id keeps the placements holding
+it (``tinted``).  The rainbow check is one mask test: coloring edge i with
+c completes a rainbow copy exactly when some placement whose largest rank
+is i is not dead and holds no edge of color c.  Blocking is tracked
+incrementally: coloring edge i leaves the placements whose second-largest
+rank is i with one uncolored edge e, and e becomes blocked when one of them
+is not dead in the child.
 
 The packing bound tightens the blocked-edge bound by one for each placement
 in a greedy packing (the "disjoint inconsistent subsets" bound of Max-SAT
@@ -43,11 +44,10 @@ branch is cut when (colors open) + (unblocked uncolored edges) - (packing
 size) cannot beat the incumbent.  Each packed placement uses two unblocked
 uncolored edges, so with slack = (colors open) + (unblocked uncolored
 edges) - (incumbent) the scan runs only where 2 * slack <= (unblocked
-uncolored edges), and stops once the packing reaches the slack.  Placement
-sets are bit masks over the placements with two or more edges: per frame a
-set of placements whose colored edges repeat a color, per color id the
-placements holding it, and per edge the placements through it.  Host-vertex
-symmetry pruning is not attempted here (a known optimization hook).
+uncolored edges), and stops once the packing reaches the slack.  Its
+candidates are the placements with two or more edges that are not dead.
+Host-vertex symmetry pruning is not attempted here (a known optimization
+hook).
 
 The reported witness is the first incumbent attaining the final maximum in
 the fixed search order: pruning only cuts subtrees whose bound cannot beat
@@ -98,24 +98,25 @@ class OracleResult:
         return out
 
 
-def _placement_index(n: int, g: Graph) -> tuple[list, list[int], list[int],
-                                                 list[int]]:
-    """Every placement of g into K_n, keyed by its second-largest edge rank.
+def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
+                                                 list[int], list, int, int]:
+    """Every placement of g into K_n, numbered once; sets of them as bit masks.
 
-    ``near[i]`` lists ``(prefix, ends)`` pairs: each ``prefix + (i, e)``
-    with e in ``ends`` is a placement, as sorted edge ranks, whose
-    second-largest rank is i.  Once edges 0..i are colored such a placement
-    has one uncolored edge left, e, and if the rest ``prefix + (i,)`` is
-    rainbow it blocks e: coloring e with a color outside the rest's colors
-    completes a rainbow copy.  ``allowed[e]`` is the bit mask of colors e may
-    take without completing a copy (-1: every color).  It starts at 0 on the
-    edges of one-edge placements, whose empty rest is rainbow from the
-    outset, and at -1 everywhere else.
+    Placements are numbered in lexicographic order of their sorted edge-rank
+    tuples, and a set of placements is the bit mask over those numbers.
+    Returns ``(masks, through, last, near, wide, blocked)``:
 
-    The placements with two or more edges are also numbered once, in
-    lexicographic order of their rank tuples, and sets of them are bit masks
-    over those numbers: ``masks[p]`` is placement p's edge bit mask and
-    ``through[e]`` the set of placements through edge e.
+    * ``masks[p]``: placement p's edge bit mask;
+    * ``through[e]``: the placements through edge e;
+    * ``last[e]``: the placements whose largest rank is e.  When edge e is
+      next to color every other edge of these is colored;
+    * ``near[i]``: ``(e, set)`` pairs, the placements whose second-largest
+      rank is i grouped by their largest rank e.  Once edge i is colored
+      each has one uncolored edge left, e;
+    * ``wide``: the placements with two or more edges, the packing's
+      candidates;
+    * ``blocked``: the edge bit mask of the one-edge placements, blocked
+      from the outset since their empty rest is rainbow.
 
     Distinct vertex maps giving the same edge set are deduplicated; only the
     edge set matters for rainbow-ness.  Vertices of degree zero are ignored
@@ -127,33 +128,39 @@ def _placement_index(n: int, g: Graph) -> tuple[list, list[int], list[int],
     pedges = [(pos[u], pos[v]) for u, v in g.edge_list]
     rank = [[edge_index(n, u, v) if u != v else -1 for v in range(n)]
             for u in range(n)]
-    placements = {tuple(sorted([rank[image[a]][image[b]] for a, b in pedges]))
-                  for image in permutations(range(n), len(pverts))}
+    placements = sorted({tuple(sorted([rank[image[a]][image[b]]
+                                       for a, b in pedges]))
+                         for image in permutations(range(n), len(pverts))})
     m = n * (n - 1) // 2
-    groups: list[dict[tuple[int, ...], list[int]]] = [{} for _ in range(m)]
-    allowed = [-1] * m
-    wide = []
-    for ranks in sorted(placements):
-        if len(ranks) == 1:
-            allowed[ranks[0]] = 0
-        else:
-            groups[ranks[-2]].setdefault(ranks[:-2], []).append(ranks[-1])
-            wide.append(ranks)
-    near = [[(prefix, tuple(ends)) for prefix, ends in group.items()]
-            for group in groups]
-    masks = [sum(1 << r for r in ranks) for ranks in wide]
+    masks = [sum(1 << r for r in ranks) for ranks in placements]
     through = [0] * m
-    for p, ranks in enumerate(wide):
+    last = [0] * m
+    groups: list[dict[int, int]] = [{} for _ in range(m)]
+    wide = blocked = 0
+    for p, ranks in enumerate(placements):
+        bit = 1 << p
         for r in ranks:
-            through[r] |= 1 << p
-    return near, allowed, masks, through
+            through[r] |= bit
+        last[ranks[-1]] |= bit
+        if len(ranks) == 1:
+            blocked |= 1 << ranks[0]
+        else:
+            group = groups[ranks[-2]]
+            group[ranks[-1]] = group.get(ranks[-1], 0) | bit
+            wide |= bit
+    near = [list(group.items()) for group in groups]
+    return masks, through, last, near, wide, blocked
 
 
 PROGRESS_INTERVAL = 1_000_000
 
 
 def _check_budget(node_budget: int | None) -> None:
-    if node_budget is not None and node_budget < 1:
+    if node_budget is None:
+        return
+    if isinstance(node_budget, bool) or not isinstance(node_budget, int):
+        raise ValueError(f"node budget must be an integer, got {node_budget!r}")
+    if node_budget < 1:
         raise ValueError(f"node budget must be at least 1, got {node_budget}")
 
 
@@ -163,11 +170,12 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
     """Maximum color count over rainbow-free colorings of K_n, with witness.
 
     Raises ValueError for hosts above the feasibility ceiling and for a node
-    budget below 1.  If the node budget runs out the result is returned with
-    ``conclusive=False`` and ``ar_exact=None``; the color count is then only
-    a lower bound, and ``nodes_explored`` equals the budget.
+    budget that is not an int of at least 1 (a bool is not).  If the node
+    budget runs out the result is returned with ``conclusive=False`` and
+    ``ar_exact=None``; the color count is then only a lower bound, and
+    ``nodes_explored`` equals the budget.
     ``on_progress(nodes, best)`` is called every PROGRESS_INTERVAL nodes so
-    callers can log liveness without touching the result.
+    callers can log progress without touching the result.
     """
     g = build_pattern(pattern)
     if g.num_edges == 0:
@@ -182,8 +190,7 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
         node_budget = DEFAULT_BUDGET_N7
 
     m = n * (n - 1) // 2
-    near, allowed, masks, through = _placement_index(n, g)
-    everything = (1 << len(masks)) - 1
+    masks, through, last, near, wide, blocked0 = _placement_index(n, g)
     # keyed by edge e's bit: the placements that miss e
     missing = {1 << e: ~through[e] for e in range(m)}
     # per color id: the placements with a colored edge of that color
@@ -200,12 +207,10 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
     budget_hit = False
     start = time.perf_counter()
 
-    def rec(i: int, cmax: int, free: int, blocked: int, dead: int,
-            allowed: list[int]) -> None:
+    def rec(i: int, cmax: int, free: int, blocked: int, dead: int) -> None:
         # free: uncolored edges (i..m-1) that are not blocked; blocked: bit
         # mask of the blocked edges (bits below i are stale); dead: the
-        # placements whose colored edges repeat a color; allowed: this
-        # frame's color masks
+        # placements whose colored edges repeat a color
         nonlocal best, best_colors, nodes, budget_hit
         if i == m:  # reached only when cmax > best
             best = cmax
@@ -222,7 +227,7 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
             # rainbow copy is never kept), so each has two or more uncolored
             # edges
             high = -1 << i  # the uncolored edges
-            cand = everything & ~dead
+            cand = wide & ~dead
             rest = blocked & high
             while rest:
                 b = rest & -rest
@@ -238,21 +243,10 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
                     b = rest & -rest
                     cand &= missing[b]
                     rest ^= b
-        col = color
-        # the prefixes below edge i are colored for the whole frame: keep the
-        # color masks of the rainbow ones
-        live = []
-        for prefix, ends in near[i]:
-            mask = 0
-            for r in prefix:
-                b = 1 << col[r]
-                if mask & b:
-                    break
-                mask |= b
-            else:
-                live.append((mask, ends))
-        ok = allowed[i]
-        if ok == -1:
+        # the placements that coloring edge i completes: each has a rainbow
+        # rest, and a color outside the rest's colors makes it a rainbow copy
+        closing = last[i] & ~dead
+        if not blocked >> i & 1:
             own = 1
             cs = orders[cmax]
         else:  # a fresh color would complete a rainbow copy
@@ -273,34 +267,26 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
             nodes += 1
             if on_progress is not None and nodes % PROGRESS_INTERVAL == 0:
                 on_progress(nodes, best)
-            bit = 1 << c
-            if not ok & bit:
+            was = tinted[c]
+            if closing & ~was:
                 continue  # rainbow copy completed: prune
-            col[i] = c
-            # edge i leaves the uncolored set; each placement now left with
-            # one uncolored edge and a rainbow rest blocks that edge
+            color[i] = c
+            # placements through edge i with another edge of color c die;
+            # each placement now left with one uncolored edge e and a
+            # rainbow rest blocks e
+            kill = dead | (was & through[i])
             left = free - own
             blk = blocked
-            narrowed = allowed.copy()
-            for mask, ends in live:
-                if not mask & bit:
-                    mask |= bit
-                    for e in ends:
-                        old = narrowed[e]
-                        if old == -1:
-                            left -= 1
-                            blk |= 1 << e
-                        narrowed[e] = old & mask
+            for e, group in near[i]:
+                if group & ~kill and not blk >> e & 1:
+                    left -= 1
+                    blk |= 1 << e
             if nxt + left > best:
-                # placements through edge i with another edge of color c die
-                was = tinted[c]
                 tinted[c] = was | through[i]
-                rec(i + 1, nxt, left, blk, dead | (was & through[i]),
-                    narrowed)
+                rec(i + 1, nxt, left, blk, kill)
                 tinted[c] = was
 
-    rec(0, 0, allowed.count(-1),
-        sum(1 << e for e in range(m) if allowed[e] != -1), 0, allowed)
+    rec(0, 0, m - blocked0.bit_count(), blocked0, 0)
     elapsed = time.perf_counter() - start
     conclusive = not budget_hit
     witness = None if best_colors is None else EdgeColoring(n, tuple(best_colors))

@@ -75,8 +75,8 @@ class TestWitness:
         index = oracle._placement_index
 
         def unpackable(n, g):
-            near, allowed, masks, through = index(n, g)
-            return near, allowed, [], [0] * len(through)
+            masks, through, last, near, wide, blocked = index(n, g)
+            return masks, through, last, near, 0, blocked
 
         monkeypatch.setattr(oracle, "_placement_index", unpackable)
         r = max_rainbow_free(6, spec)
@@ -112,11 +112,18 @@ class TestWitness:
         r = max_rainbow_free(6, spec)
         assert r.witness.colors == tuple(int(ch) for ch in witness)
 
-    @pytest.mark.parametrize("spec,ar", [(Cycle(4), 9), (TriplePath(2), 8)])
-    def test_conclusive_at_n7_within_250k_nodes(self, spec, ar):
+    @pytest.mark.parametrize("spec,ar,nodes", [
+        (Cycle(4), 9, 55_962),
+        (TriplePath(2), 8, 14_250),
+        (Cycle(5), 11, 102_419),
+        (Matching(3), 8, 160_208),
+        (Union(Cycle(3), Matching(1)), 8, 188_068),
+    ])
+    def test_conclusive_at_n7_within_250k_nodes(self, spec, ar, nodes):
         r = max_rainbow_free(7, spec, node_budget=250_000)
         assert r.conclusive
         assert r.ar_exact == ar
+        assert r.nodes_explored == nodes
         assert find_rainbow(r.witness, spec) is None
         assert r.witness.num_colors == ar - 1
 
@@ -179,7 +186,9 @@ class TestBudget:
             assert find_rainbow(r.witness, Cycle(3)) is None
             assert r.witness.num_colors == r.max_rainbow_free_colors
 
-    @pytest.mark.parametrize("budget", [0, -1])
+    # the budget must be an int: the node count never equals 100.5, and a
+    # bool is no count
+    @pytest.mark.parametrize("budget", [0, -1, 100.5, 2.0, True])
     def test_budget_below_one_rejected(self, budget):
         with pytest.raises(ValueError, match="budget"):
             max_rainbow_free(5, Cycle(3), node_budget=budget)
