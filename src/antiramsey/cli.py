@@ -6,10 +6,11 @@ byte-stable.  Only ``oracle`` emits a timing field; its --no-meta drops it.
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible host or
 exhausted search budget (for verify: any row ``inconclusive`` or
-``skipped-infeasible``; ``skipped-small`` rows pass), 3 (verify) a closed
-form flagged valid disagrees with the exhaustive search, ahead of 2.  A
-reversed range (``formula --grid 9..5``, ``verify --n-from 6 --n-to 3``) and
-a negative ``verify`` host (``--n-from -3``) are input errors and exit 1.
+``skipped-infeasible``, or no row ``ok``; ``skipped-small`` rows beside an
+``ok`` row pass), 3 (verify) a closed form flagged valid disagrees with the
+exhaustive search, ahead of 2.  A reversed range (``formula --grid 9..5``,
+``verify --n-from 6 --n-to 3``) and a negative ``verify`` host
+(``--n-from -3``) are input errors and exit 1.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ def _cmd_verify(args) -> int:
     _emit(report.to_json())
     if report.mismatches:
         return MISMATCH
-    if any(r.status in ("inconclusive", "skipped-infeasible") for r in report.rows):
+    statuses = {r.status for r in report.rows}
+    if "ok" not in statuses or statuses - {"ok", "skipped-small"}:
         return INFEASIBLE
     return 0
 

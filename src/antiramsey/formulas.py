@@ -365,8 +365,15 @@ def ar_family(n: int, spec: PatternSpec) -> BoundReport:
 
     Exact values are flagged valid only when n clears the family's stated
     threshold; the one-sided lower bound from the covering construction is
-    valid for every ``n >= |V(pattern)|`` and is always reported.
+    valid for every ``n >= |V(pattern)|`` and is always reported.  The
+    report's ``family`` is ``spec`` itself on every branch.
     """
+    return replace(_family_report(n, spec), family=spec)
+
+
+def _family_report(n: int, spec: PatternSpec) -> BoundReport:
+    """``ar_family``'s dispatch; a branch that delegates to a one-family
+    helper keeps that helper's ``family``."""
     g = build_pattern(spec)
     if n < g.n:
         raise ValueError(f"n={n} below pattern vertex count {g.n}")
@@ -391,7 +398,7 @@ def ar_family(n: int, spec: PatternSpec) -> BoundReport:
         if k == 0:
             if t == 1:
                 return _exact_report(spec, n, Fraction(1), True, ["single-edge-trivial"])
-            return replace(ar_matching(n, t), family=spec)
+            return ar_matching(n, t)
         if t == 0:
             if k == 1:
                 return _exact_report(spec, n, Fraction(2), True, ["two-edge-path-trivial"])
@@ -421,7 +428,7 @@ def ar_family(n: int, spec: PatternSpec) -> BoundReport:
         if big.k == 3:
             return _exact_report(spec, n, linear_form(t, n) + 2,
                                  n > Fraction(5, 2) * t + 6, ["c3+matching-equality"])
-        return replace(cycle_matching_bounds(n, big.k, t), family=spec)
+        return cycle_matching_bounds(n, big.k, t)
 
     if k:
         if t:
@@ -434,4 +441,4 @@ def ar_family(n: int, spec: PatternSpec) -> BoundReport:
     if big.k == 3:
         return _exact_report(spec, n, linear_form(t, n) + 2,
                              n > Fraction(5, 2) * t + Fraction(23, 2), ["p4+matching-equality"])
-    return replace(path_matching_bounds(n, big.k, t), family=spec)
+    return path_matching_bounds(n, big.k, t)

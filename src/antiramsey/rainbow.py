@@ -27,10 +27,11 @@ Search organization:
   any set of currently unused, interchangeable host vertices (vertices whose
   transposition maps the coloring onto itself up to renaming colors) only the
   smallest is tried.  Both prunings preserve completeness: any embedding can
-  be rewritten into one the restricted search still visits.  The colors of
-  each host row are counted once per call; a host pair gets the full twin
-  test only when the two rows have equal sorted color counts, which every
-  twin pair has.
+  be rewritten into one the restricted search still visits.  Twin classes
+  take one pass over the hosts in ascending order: each host gets the full
+  twin test only against one representative per class, the smallest member
+  of each class met so far with its sorted color counts (every twin pair
+  has equal ones), and the first hit names its class.
 
 Colors couple across components, so per-component results are never cached;
 components are re-driven lazily under the shared used-color set.
@@ -90,9 +91,12 @@ def _twin_partition(mat: list[list[int]], class_size: list[int],
     and ``inc[u]`` the ``Counter`` of row u.  A twin swap comes with a color
     bijection that carries row u onto row v entry by entry, so twins have
     equal sorted color counts; pairs whose counts differ are never tested.
+    Hosts come in ascending order, and each is tested against the smallest
+    member of each class already in its count group.  As the relation is
+    an equivalence, the first hit is its class and a miss on all of them
+    starts a new one, so every label is the host's smallest twin.
     """
     n = len(mat)
-    profile = [sorted(counts.values()) for counts in inc]  # each has the diagonal's 1
 
     def appears_elsewhere(c: int, u: int, v: int) -> bool:
         cnt = class_size[c] - inc[u][c] - inc[v][c]
@@ -118,19 +122,14 @@ def _twin_partition(mat: list[list[int]], class_size: list[int],
                 return False
         return True
 
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            if profile[u] == profile[v] and find(u) != find(v) and is_twin(u, v):
-                parent[find(v)] = find(u)
-    return [find(v) for v in range(n)]
+    label: list[int] = []
+    reps: dict[tuple[int, ...], list[int]] = {}  # sorted counts -> class minima
+    for v in range(n):
+        group = reps.setdefault(tuple(sorted(inc[v].values())), [])
+        label.append(next((u for u in group if is_twin(u, v)), v))
+        if label[v] == v:
+            group.append(v)
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -171,58 +170,37 @@ def _colors_run_out(mat: list[list[int]], class_size: list[int],
 def _build_plan(g: Graph):
     """Slot order plus per-slot constraints for the backtracking search."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edge_list:
+    for u, v in g.edge_list:  # lexicographic, so every adj list ascends
         adj[u].append(v)
         adj[v].append(u)
-    seen = [False] * g.n
+    pos = [-1] * g.n  # BFS index within the vertex's component
     comps = []
     for start in range(g.n):
-        if seen[start] or not adj[start]:
+        if pos[start] >= 0 or not adj[start]:
             continue
         order = [start]
-        seen[start] = True
-        qi = 0
-        while qi < len(order):
-            x = order[qi]
-            qi += 1
-            for y in sorted(adj[x]):
-                if not seen[y]:
-                    seen[y] = True
+        pos[start] = 0
+        edges = []
+        for x in order:  # BFS: the loop reaches the vertices it appends
+            for y in adj[x]:
+                if pos[y] < 0:
+                    pos[y] = len(order)
                     order.append(y)
-        comps.append(order)
-    isolated = [v for v in range(g.n) if not adj[v]]
+                if pos[x] < pos[y]:
+                    edges.append((pos[x], pos[y]))
+        shape = (len(order), tuple(sorted(edges)))
+        comps.append((-len(edges), -len(order), shape, order))
+    # largest-first; identical shapes adjacent so root ordering can bite
+    comps.sort()
 
-    def signature(order):
-        pos = {v: i for i, v in enumerate(order)}
-        edges = sorted(
-            tuple(sorted((pos[u], pos[v])))
-            for u, v in g.edge_list if u in pos and v in pos
-        )
-        return (len(order), tuple(edges))
-
-    def edge_count(order):
-        inside = set(order)
-        return sum(1 for u, v in g.edge_list if u in inside)
-
-    # largest-first; identical structures adjacent so root ordering can bite
-    comps.sort(key=lambda o: (-edge_count(o), -len(o), signature(o), o[0]))
-
-    slots = []  # (pattern_vertex, placed_neighbor_list, prev_identical_root or -1)
-    prev_sig = None
-    prev_root = -1
-    for order in comps:
-        sig = signature(order)
-        placed = set()
-        for i, v in enumerate(order):
-            nbrs = tuple(u for u in adj[v] if u in placed)
-            if i == 0:
-                slots.append((v, nbrs, prev_root if sig == prev_sig else -1))
-            else:
-                slots.append((v, nbrs, -1))
-            placed.add(v)
-        prev_sig, prev_root = sig, order[0]
-    degs = g.degrees()
-    return slots, isolated, degs
+    slots = []  # (pattern_vertex, placed_neighbor_tuple, prev_identical_root or -1)
+    prev_shape = prev_root = None
+    for _, _, shape, order in comps:
+        slots.append((order[0], (), prev_root if shape == prev_shape else -1))
+        slots += [(v, tuple(u for u in adj[v] if pos[u] < i), -1)
+                  for i, v in enumerate(order) if i]
+        prev_shape, prev_root = shape, order[0]
+    return slots, [v for v in range(g.n) if not adj[v]]
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +228,11 @@ def find_rainbow(coloring: EdgeColoring,
     class_size = [0] * coloring.num_colors
     for c in coloring.colors:
         class_size[c] += 1
-    if _colors_run_out(mat, class_size, color_degree, g.degrees()):
+    pdeg = g.degrees()
+    if _colors_run_out(mat, class_size, color_degree, pdeg):
         return None
     twin = _twin_partition(mat, class_size, inc)
-    slots, isolated, pdeg = _build_plan(g)
+    slots, isolated = _build_plan(g)
 
     assignment = [-1] * g.n
     used_host = [False] * n

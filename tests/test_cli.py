@@ -190,6 +190,7 @@ class TestVerify:
     @pytest.mark.parametrize("argv, status", [
         (("--n-from", "7", "--n-to", "7", "--budget", "1000"), "inconclusive"),
         (("--n-from", "8", "--n-to", "8"), "skipped-infeasible"),
+        (("--n-from", "3", "--n-to", "3"), "skipped-small"),
     ])
     def test_unchecked_row_exits_two(self, capsys, argv, status):
         code, out, _err = run(capsys, "verify", "--family", "C4", *argv)

@@ -20,6 +20,7 @@ from antiramsey import (
     build_pattern,
     cover_lower_bound,
     cycle_matching_bounds,
+    family_name,
     integer_bounds,
     linear_form,
     matching_step_threshold,
@@ -254,6 +255,20 @@ class TestFamilyDispatch:
         assert js["upper"] == "70/3"
         assert js["exact"] is None
         assert set(js) == {"family", "n", "lower", "upper", "exact", "valid", "provenance"}
+
+    @pytest.mark.parametrize("spec", [
+        Matching(1), Matching(3), TriplePath(1), TriplePath(3),
+        Union(Matching(1), TriplePath(2)), Union(TriplePath(1), Matching(3)),
+        Union(Matching(2), TriplePath(3)),
+        Cycle(5), Union(Cycle(3), Matching(2)), Union(Cycle(4), Matching(1)),
+        Path(4), Union(Path(5), TriplePath(1)), Union(Path(3), Matching(1)),
+        Union(Path(5), Matching(2)),
+    ], ids=family_name)
+    def test_report_family_is_the_given_spec(self, spec):
+        # one spec per dispatch branch, as given and as a one-part union
+        n = build_pattern(spec).n + 2
+        for given in (spec, Union(spec)):
+            assert ar_family(n, given).family == given
 
 
 class TestThresholdConstants:

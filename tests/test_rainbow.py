@@ -399,3 +399,50 @@ class TestColorCountCertificate:
         assert sum(g.num_edges <= c.num_colors for g, c in cases) == 6
         for g, coloring in cases:
             assert find_rainbow(coloring, g) is None, (g, coloring.n)
+
+
+def _relabeled_2c3_p4():
+    """2C3+P4 with its vertices renamed, so the plan meets the path first
+    although the layout puts it last."""
+    perm = [7, 2, 9, 0, 5, 3, 8, 1, 6, 4]
+    g = build_pattern(Union(Cycle(3), Cycle(3), Path(3)))
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+_PINNED_PATTERNS = {
+    "3P3": TriplePath(3),
+    "C3+2P2": Union(Cycle(3), Matching(2)),
+    "P4+P3+P2": Union(Path(3), TriplePath(1), Matching(1)),
+    "2C3+P4 relabeled": _relabeled_2c3_p4(),
+}
+
+
+class TestPinnedWitnesses:
+    # K13 hosts with one color more than the pattern has edges; a changed
+    # witness means the slot order or the host order changed
+    @pytest.mark.parametrize("name, seed, witness", [
+        ("3P3", 1, (0, 1, 2, 3, 4, 7, 5, 8, 6)),
+        ("3P3", 2, (0, 1, 2, 3, 4, 5, 6, 11, 10)),
+        ("3P3", 3, (0, 1, 2, 3, 4, 5, 6, 9, 8)),
+        ("3P3", 4, (0, 1, 2, 3, 9, 4, 5, 10, 6)),
+        ("C3+2P2", 1, (0, 1, 2, 3, 4, 5, 6)),
+        ("C3+2P2", 2, (0, 1, 4, 2, 3, 5, 6)),
+        ("C3+2P2", 3, (0, 1, 2, 3, 4, 5, 7)),
+        ("C3+2P2", 4, (0, 1, 5, 2, 3, 4, 7)),
+        ("P4+P3+P2", 1, (0, 1, 2, 3, 4, 7, 9, 5, 10)),
+        ("P4+P3+P2", 2, (0, 1, 2, 3, 4, 5, 8, 6, 12)),
+        ("P4+P3+P2", 3, (0, 1, 2, 3, 4, 5, 6, 8, 9)),
+        ("P4+P3+P2", 4, (0, 1, 2, 3, 4, 7, 9, 5, 10)),
+        ("2C3+P4 relabeled", 1, (4, 0, 9, 5, 3, 6, 1, 10, 2, 12)),
+        ("2C3+P4 relabeled", 2, (4, 0, 8, 5, 3, 7, 1, 11, 2, 12)),
+        ("2C3+P4 relabeled", 3, (4, 0, 7, 9, 3, 12, 1, 10, 2, 11)),
+        ("2C3+P4 relabeled", 4, (4, 0, 7, 6, 8, 10, 1, 11, 2, 12)),
+    ])
+    def test_seeded_host_witness(self, name, seed, witness):
+        pattern = _PINNED_PATTERNS[name]
+        colors = build_pattern(pattern).num_edges + 1
+        coloring = random_surjective_coloring(random.Random(seed), 13, colors)
+        assert coloring.num_colors == colors
+        emb = find_rainbow(coloring, pattern)
+        assert emb.map == witness
+        assert check_embedding(coloring, pattern, emb)
