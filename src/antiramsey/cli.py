@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 usage or input error, 2 infeasible host or
 exhausted search budget (for verify: any row ``inconclusive`` or
 ``skipped-infeasible``, or no row ``ok``; ``skipped-small`` rows beside an
 ``ok`` row pass), 3 (verify) a closed form flagged valid disagrees with the
-exhaustive search, ahead of 2.  A reversed range (``formula --grid 9..5``,
+exhaustive search, ahead of 2.  A ``--budget`` below 1 exits 1 on any host,
+one above the ceiling included.  A reversed range (``formula --grid 9..5``,
 ``verify --n-from 6 --n-to 3``) and a negative ``verify`` host
 (``--n-from -3``) are input errors and exit 1.
 """
@@ -23,7 +24,12 @@ from .colorings import parse_coloring, serialize_coloring
 from .constructions import clique_coloring, cover_coloring
 from .formulas import UnrecognizedFamilyError, ar_family
 from .graphs import build_pattern, parse_family, parse_graph
-from .oracle import HARD_CEILING, max_rainbow_free, verify_range
+from .oracle import (
+    HARD_CEILING,
+    _check_budget,
+    max_rainbow_free,
+    verify_range,
+)
 from .qcover import q_cover
 from .rainbow import find_rainbow
 
@@ -110,6 +116,7 @@ def _cmd_rainbow(args) -> int:
 
 def _cmd_oracle(args) -> int:
     spec = parse_family(args.family)
+    _check_budget(args.budget)  # a bad budget is an input error on any host
     if args.n > HARD_CEILING:
         print(f"n={args.n} beyond the exhaustive-search ceiling "
               f"({HARD_CEILING})", file=sys.stderr)

@@ -23,14 +23,19 @@ automatically surjective.  Depth-first branch and bound:
 
 Every piece of search state is a set of placements.  All placements of the
 pattern are enumerated and numbered once, and a set of them is a bit mask
-over those numbers.  Each frame carries the placements whose colored edges
-repeat a color (``dead``), and each color id keeps the placements holding
-it (``tinted``).  The rainbow check is one mask test: coloring edge i with
-c completes a rainbow copy exactly when some placement whose largest rank
-is i is not dead and holds no edge of color c.  Blocking is tracked
-incrementally: coloring edge i leaves the placements whose second-largest
-rank is i with one uncolored edge e, and e becomes blocked when one of them
-is not dead in the child.
+over those numbers.  A frame carries four things: the edge i it colors, the
+number of colors open, the bit mask of blocked edges, and the placements
+whose colored edges repeat a color (``dead``); each color id keeps the
+placements holding it (``tinted``).  The count of unblocked uncolored edges
+is derived from the mask.  The rainbow check is one mask test: coloring
+edge i with c completes a rainbow copy exactly when some placement whose
+largest rank is i is not dead (it *closes* on i) and holds no edge of color
+c.  Blocking is tracked incrementally: coloring edge i leaves the
+placements whose second-largest rank is i with one uncolored edge e, and e
+becomes blocked when one of them is not dead in the child.  So edge i is
+blocked exactly when some placement closes on it, and that decides whether
+a fresh color is tried; a one-edge placement closes on its edge from the
+start, so a one-edge pattern never opens a color.
 
 The packing bound tightens the blocked-edge bound by one for each placement
 in a greedy packing (the "disjoint inconsistent subsets" bound of Max-SAT
@@ -99,12 +104,12 @@ class OracleResult:
 
 
 def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
-                                                 list[int], list, int, int]:
+                                                 list[int], list, int]:
     """Every placement of g into K_n, numbered once; sets of them as bit masks.
 
     Placements are numbered in lexicographic order of their sorted edge-rank
     tuples, and a set of placements is the bit mask over those numbers.
-    Returns ``(masks, through, last, near, wide, blocked)``:
+    Returns ``(masks, through, last, near, wide)``:
 
     * ``masks[p]``: placement p's edge bit mask;
     * ``through[e]``: the placements through edge e;
@@ -114,9 +119,11 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
       rank is i grouped by their largest rank e.  Once edge i is colored
       each has one uncolored edge left, e;
     * ``wide``: the placements with two or more edges, the packing's
-      candidates;
-    * ``blocked``: the edge bit mask of the one-edge placements, blocked
-      from the outset since their empty rest is rainbow.
+      candidates.
+
+    A one-edge placement is in ``last`` of its edge only: its empty rest is
+    rainbow, so it closes on that edge at every frame and the search never
+    opens a color.
 
     Distinct vertex maps giving the same edge set are deduplicated; only the
     edge set matters for rainbow-ness.  Vertices of degree zero are ignored
@@ -136,20 +143,18 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
     through = [0] * m
     last = [0] * m
     groups: list[dict[int, int]] = [{} for _ in range(m)]
-    wide = blocked = 0
+    wide = 0
     for p, ranks in enumerate(placements):
         bit = 1 << p
         for r in ranks:
             through[r] |= bit
         last[ranks[-1]] |= bit
-        if len(ranks) == 1:
-            blocked |= 1 << ranks[0]
-        else:
+        if len(ranks) > 1:
             group = groups[ranks[-2]]
             group[ranks[-1]] = group.get(ranks[-1], 0) | bit
             wide |= bit
     near = [list(group.items()) for group in groups]
-    return masks, through, last, near, wide, blocked
+    return masks, through, last, near, wide
 
 
 PROGRESS_INTERVAL = 1_000_000
@@ -190,7 +195,7 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
         node_budget = DEFAULT_BUDGET_N7
 
     m = n * (n - 1) // 2
-    masks, through, last, near, wide, blocked0 = _placement_index(n, g)
+    masks, through, last, near, wide = _placement_index(n, g)
     # keyed by edge e's bit: the placements that miss e
     missing = {1 << e: ~through[e] for e in range(m)}
     # per color id: the placements with a colored edge of that color
@@ -207,15 +212,16 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
     budget_hit = False
     start = time.perf_counter()
 
-    def rec(i: int, cmax: int, free: int, blocked: int, dead: int) -> None:
-        # free: uncolored edges (i..m-1) that are not blocked; blocked: bit
-        # mask of the blocked edges (bits below i are stale); dead: the
-        # placements whose colored edges repeat a color
+    def rec(i: int, cmax: int, blocked: int, dead: int) -> None:
+        # a frame colors edge i with cmax colors open.  blocked: bit mask of
+        # the blocked edges (bits below i are stale); dead: the placements
+        # whose colored edges repeat a color
         nonlocal best, best_colors, nodes, budget_hit
         if i == m:  # reached only when cmax > best
             best = cmax
             best_colors = color.copy()
             return
+        free = m - i - (blocked >> i).bit_count()  # unblocked uncolored edges
         # packing bound: each placement packed costs one fresh color, and
         # each uses two unblocked uncolored edges, so a packing can close
         # the slack only when 2 * slack <= free
@@ -225,33 +231,35 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
             # edge.  One left with a single uncolored edge and a rainbow rest
             # blocks that edge, and a fully colored one repeats a color (a
             # rainbow copy is never kept), so each has two or more uncolored
-            # edges
+            # edges.  Greedy in placement order: drop the placements through
+            # the blocked edges, then pick the first candidate and drop those
+            # through its uncolored edges, until the slack is packed
             high = -1 << i  # the uncolored edges
             cand = wide & ~dead
             rest = blocked & high
-            while rest:
-                b = rest & -rest
-                cand &= missing[b]
-                rest ^= b
-            found = 0
-            while cand:  # greedy in placement order; drop what overlaps
-                found += 1
-                if found == slack:
-                    return
-                rest = masks[(cand & -cand).bit_length() - 1] & high
-                while rest:
+            while True:
+                while rest:  # drop the placements through these edges
                     b = rest & -rest
                     cand &= missing[b]
                     rest ^= b
+                if not cand:
+                    break
+                slack -= 1  # the first candidate is packed
+                if not slack:
+                    return
+                rest = masks[(cand & -cand).bit_length() - 1] & high
         # the placements that coloring edge i completes: each has a rainbow
-        # rest, and a color outside the rest's colors makes it a rainbow copy
+        # rest, and a color outside the rest's colors makes it a rainbow copy.
+        # closing is nonzero exactly when edge i is blocked.  A placement
+        # dies only when one of its edges is colored, so one that blocked i
+        # (its other edges all colored) is still alive here, and each live
+        # one with two or more edges blocked i when its second-largest rank
+        # was colored.  A one-edge placement always closes, so such a
+        # pattern never opens a color.  A blocked edge only reuses a color
+        # and is not counted in free
         closing = last[i] & ~dead
-        if not blocked >> i & 1:
-            own = 1
-            cs = orders[cmax]
-        else:  # a fresh color would complete a rainbow copy
-            own = 0
-            cs = reuses[cmax]
+        own = 0 if closing else 1
+        cs = (reuses if closing else orders)[cmax]
         for c in cs:
             if c == cmax:  # fresh color; if its bound fails, so does reuse
                 if cmax + free <= best:
@@ -275,18 +283,16 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
             # each placement now left with one uncolored edge e and a
             # rainbow rest blocks e
             kill = dead | (was & through[i])
-            left = free - own
             blk = blocked
             for e, group in near[i]:
-                if group & ~kill and not blk >> e & 1:
-                    left -= 1
+                if group & ~kill:
                     blk |= 1 << e
-            if nxt + left > best:
+            if nxt + m - i - 1 - (blk >> i + 1).bit_count() > best:
                 tinted[c] = was | through[i]
-                rec(i + 1, nxt, left, blk, kill)
+                rec(i + 1, nxt, blk, kill)
                 tinted[c] = was
 
-    rec(0, 0, m - blocked0.bit_count(), blocked0, 0)
+    rec(0, 0, 0, 0)
     elapsed = time.perf_counter() - start
     conclusive = not budget_hit
     witness = None if best_colors is None else EdgeColoring(n, tuple(best_colors))

@@ -140,9 +140,11 @@ class TestOracle:
         assert js["conclusive"] is False
         assert js["ar_exact"] is None
 
-    @pytest.mark.parametrize("budget", ["0", "-1"])
-    def test_bad_budget_exits_one(self, capsys, budget):
-        code, out, err = run(capsys, "oracle", "--family", "C3", "--n", "5",
+    @pytest.mark.parametrize("n,budget", [("5", "0"), ("5", "-1"), ("8", "-1")],
+                             ids=["0", "-1", "-1-above-ceiling"])
+    def test_bad_budget_exits_one(self, capsys, n, budget):
+        # the budget is checked before the host ceiling, as verify does
+        code, out, err = run(capsys, "oracle", "--family", "C3", "--n", n,
                              "--budget", budget)
         assert code == 1
         assert out == ""

@@ -1,5 +1,6 @@
 """Exhaustive color-maximization search: values, witnesses, consistency."""
 
+import hashlib
 from functools import cache
 
 import pytest
@@ -40,10 +41,16 @@ class TestKnownValues:
             assert max_rainbow_free(n, Cycle(3)).ar_exact == ar_cycle(n, 3).exact
 
     def test_single_edge_degenerate(self):
-        r = max_rainbow_free(4, Matching(1))
-        assert r.max_rainbow_free_colors == 0
-        assert r.ar_exact == 1
-        assert r.witness is None
+        # the one placement per edge closes on it at every frame, so no
+        # color opens and the search visits no node
+        for spec in (Matching(1), Graph(3, [(0, 2)])):
+            for n in range(build_pattern(spec).n, 8):
+                r = max_rainbow_free(n, spec)
+                assert r.conclusive, (spec, n)
+                assert r.nodes_explored == 0, (spec, n)
+                assert r.max_rainbow_free_colors == 0, (spec, n)
+                assert r.ar_exact == 1, (spec, n)
+                assert r.witness is None, (spec, n)
 
     def test_perfect_matching_on_four_vertices(self):
         # the one perfect-matching case outside every closed form
@@ -75,8 +82,7 @@ class TestWitness:
         index = oracle._placement_index
 
         def unpackable(n, g):
-            masks, through, last, near, wide, blocked = index(n, g)
-            return masks, through, last, near, 0, blocked
+            return (*index(n, g)[:4], 0)
 
         monkeypatch.setattr(oracle, "_placement_index", unpackable)
         r = max_rainbow_free(6, spec)
@@ -160,6 +166,29 @@ class TestPackingSoundness:
         assert r.max_rainbow_free_colors == maximum
         assert r.witness.num_colors == maximum
         assert not naive_has_rainbow(r.witness, g)
+
+
+class TestClassSweep:
+    # every pattern class on up to 6 vertices that K6 settles quickly, on
+    # each host from its own size to K6.  The run count, the total node
+    # count and a digest of (edges, n, nodes, maximum, witness) are pinned:
+    # any change to the search order, a bound or a witness moves one
+    GRID = ((2, 1), (3, 3), (4, 6), (5, 6), (6, 4))  # (vertices, max edges)
+    DIGEST = "adad6f64ded17aa59ab058ee731076c31a399f5cc059b232b560b335bead8b0e"
+
+    def test_sweep_pinned(self):
+        rows = []
+        for v, max_edges in self.GRID:
+            for g in iso_classes(v, max_edges):
+                for n in range(v, 7):
+                    r = max_rainbow_free(n, g)
+                    assert r.conclusive
+                    rows.append((g.edge_list, n, r.nodes_explored,
+                                 r.max_rainbow_free_colors,
+                                 None if r.witness is None else r.witness.colors))
+        assert len(rows) == 114
+        assert sum(row[2] for row in rows) == 431_801
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
 
 
 class TestValidation:
