@@ -31,7 +31,18 @@ Search organization:
   take one pass over the hosts in ascending order: each host gets the full
   twin test only against one representative per class, the smallest member
   of each class met so far with its sorted color counts (every twin pair
-  has equal ones), and the first hit names its class.
+  has equal ones), and the first hit names its class;
+* twin classes are built only at the first dead end, a subtree that fails.
+  Until then every host is its own class; at the first dead end the search
+  stops and reruns from slot 0 under the real classes.  This is exact: a
+  twin skip needs a class already tried in the same frame, and before the
+  first dead end every tried host is on the current path or clashed.
+  Twins clash together, because their swap fixes every used color (those
+  lie on edges away from both twins) and maps the new edge colors
+  bijectively.  So a search without a dead end walks the path of a search
+  with twin classes to the same witness, and most "yes" answers never pay
+  for the partition or for the per-row color counts it reads;
+* the slot plan depends on the pattern alone and is cached per pattern.
 
 Colors couple across components, so per-component results are never cached;
 components are re-driven lazily under the shared used-color set.
@@ -41,6 +52,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .colorings import EdgeColoring
 from .graphs import Graph, PatternSpec, build_pattern
@@ -167,8 +179,14 @@ def _colors_run_out(mat: list[list[int]], class_size: list[int],
 # Search plan
 # ---------------------------------------------------------------------------
 
+@lru_cache
 def _build_plan(g: Graph):
-    """Slot order plus per-slot constraints for the backtracking search."""
+    """Slot order plus per-slot constraints for the backtracking search.
+
+    It depends on the pattern alone, so it is cached by the ``Graph``'s
+    value (a frozen dataclass, hashed by ``(n, edges)``), and it returns
+    tuples because every call with that pattern shares them.
+    """
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edge_list:  # lexicographic, so every adj list ascends
         adj[u].append(v)
@@ -200,12 +218,16 @@ def _build_plan(g: Graph):
         slots += [(v, tuple(u for u in adj[v] if pos[u] < i), -1)
                   for i, v in enumerate(order) if i]
         prev_shape, prev_root = shape, order[0]
-    return slots, [v for v in range(g.n) if not adj[v]]
+    return tuple(slots), tuple(v for v in range(g.n) if not adj[v])
 
 
 # ---------------------------------------------------------------------------
 # Search
 # ---------------------------------------------------------------------------
+
+class _DeadEnd(Exception):
+    """A subtree failed before the twin classes were built."""
+
 
 def find_rainbow(coloring: EdgeColoring,
                  pattern: PatternSpec) -> Embedding | None:
@@ -223,17 +245,16 @@ def find_rainbow(coloring: EdgeColoring,
         return None  # certificate step t = 0: a copy needs a color per edge
 
     mat = coloring.color_matrix()
-    inc = [Counter(row) for row in mat]
-    color_degree = [len(counts) - 1 for counts in inc]  # less the diagonal -1
+    color_degree = [len(set(row)) - 1 for row in mat]  # less the diagonal -1
     class_size = [0] * coloring.num_colors
     for c in coloring.colors:
         class_size[c] += 1
     pdeg = g.degrees()
     if _colors_run_out(mat, class_size, color_degree, pdeg):
         return None
-    twin = _twin_partition(mat, class_size, inc)
     slots, isolated = _build_plan(g)
 
+    twin = identity = range(n)  # every host its own class until a dead end
     assignment = [-1] * g.n
     used_host = [False] * n
     used_color = bytearray(coloring.num_colors)
@@ -268,13 +289,23 @@ def find_rainbow(coloring: EdgeColoring,
                 used_color[c] = 1
             if place(si + 1):
                 return True
+            if twin is identity:
+                raise _DeadEnd
             for c in new_colors:
                 used_color[c] = 0
             used_host[h] = False
             assignment[v] = -1
         return False
 
-    if not place(0):
+    try:
+        found = place(0)
+    except _DeadEnd:  # rerun from slot 0 under the real twin classes
+        twin = _twin_partition(mat, class_size, [Counter(row) for row in mat])
+        assignment[:] = [-1] * g.n
+        used_host[:] = [False] * n
+        used_color[:] = bytes(coloring.num_colors)
+        found = place(0)
+    if not found:
         return None
     free = iter(h for h in range(n) if not used_host[h])
     for v in isolated:

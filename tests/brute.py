@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive and independent of the library's search
 code: plain nested loops over injective maps, subsets, set-partition strings
-and vertex transpositions.  The small fixtures only the tests need live here
+and vertex transpositions.  The one exception is ``first_rainbow``, which
+walks the library's slot plan unpruned, because the witness a search must
+return is defined by that plan's order.  The small fixtures only the tests need live here
 too: the one-color and all-distinct colorings, host relabeling, and the
 edge-list text writer.
 """
@@ -14,6 +16,7 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from antiramsey import EdgeColoring, Graph
+from antiramsey.rainbow import _build_plan
 
 
 def naive_has_rainbow(coloring: EdgeColoring, g: Graph) -> bool:
@@ -33,6 +36,42 @@ def naive_has_rainbow(coloring: EdgeColoring, g: Graph) -> bool:
         if ok:
             return True
     return False
+
+
+def first_rainbow(coloring: EdgeColoring, g: Graph) -> tuple[int, ...] | None:
+    """The first rainbow copy in ``find_rainbow``'s search order, unpruned.
+
+    A plain DFS over the slots of the library's ``_build_plan``: hosts in
+    ascending order, identical components on increasing root hosts, and no
+    other cut.  Pruning that keeps completeness must keep this first hit,
+    so it is the witness ``find_rainbow`` has to return.  Isolated pattern
+    vertices take the smallest hosts left.
+    """
+    slots, isolated = _build_plan(g)
+    image = [-1] * g.n
+
+    def dfs(si: int, used: frozenset) -> bool:
+        if si == len(slots):
+            return True
+        v, nbrs, prev_root = slots[si]
+        for h in range(image[prev_root] + 1 if prev_root >= 0 else 0, coloring.n):
+            if h in image:
+                continue
+            colors = {coloring.color(image[u], h) for u in nbrs}
+            if len(colors) < len(nbrs) or colors & used:
+                continue
+            image[v] = h
+            if dfs(si + 1, used | colors):
+                return True
+            image[v] = -1
+        return False
+
+    if not dfs(0, frozenset()):
+        return None
+    free = [h for h in range(coloring.n) if h not in image]
+    for v, h in zip(isolated, free):
+        image[v] = h
+    return tuple(image)
 
 
 def brute_q(g: Graph, j: int) -> tuple[int, tuple[int, ...]]:

@@ -26,6 +26,7 @@ from antiramsey import rainbow as rainbow_module
 
 from brute import (
     all_distinct,
+    first_rainbow,
     iso_classes,
     monochromatic,
     naive_has_rainbow,
@@ -363,7 +364,7 @@ class TestColorCountCertificate:
         # a call that returns without reaching the search was settled by the
         # certificate; each such "no" past pigeonhole is checked by full
         # enumeration
-        monkeypatch.setattr(rainbow_module, "_twin_partition", _refuse)
+        monkeypatch.setattr(rainbow_module, "_build_plan", _refuse)
         patterns = _six_vertex_patterns()
         assert len(patterns) == 2 * 53  # every isomorphism class with 1..6 edges
         fired = past_pigeonhole = 0
@@ -399,6 +400,56 @@ class TestColorCountCertificate:
         assert sum(g.num_edges <= c.num_colors for g, c in cases) == 6
         for g, coloring in cases:
             assert find_rainbow(coloring, g) is None, (g, coloring.n)
+
+
+_FIRST_HIT_PATTERNS = [
+    TriplePath(1), Path(3), Cycle(3), Matching(2), Matching(3), TriplePath(2),
+    Cycle(4), Union(TriplePath(1), Matching(1)), Union(Cycle(3), Matching(1)),
+    Path(4), Union(Matching(2), TriplePath(1)),
+]
+
+
+class TestLazyTwinClasses:
+    # twin classes are built at the first failed subtree, and the search then
+    # reruns under them; neither the search before nor the rerun may change
+    # which copy comes first
+    def test_witness_is_the_unpruned_first_hit(self, monkeypatch):
+        _twin_partition = rainbow_module._twin_partition
+        partitions = []  # per built partition: does it have a twin pair?
+
+        def recorded(*args):
+            label = _twin_partition(*args)
+            partitions.append(len(set(label)) < len(label))
+            return label
+
+        monkeypatch.setattr(rainbow_module, "_twin_partition", recorded)
+        pairs = found = rerun = with_twins = 0
+        for coloring in _twin_test_colorings():
+            for spec in _FIRST_HIT_PATTERNS:
+                g = build_pattern(spec)
+                if g.n > coloring.n:
+                    continue
+                before = len(partitions)
+                emb = find_rainbow(coloring, g)
+                got = None if emb is None else emb.map
+                assert got == first_rainbow(coloring, g), (g, coloring)
+                pairs += 1
+                if emb is not None:
+                    found += 1
+                    if len(partitions) > before:
+                        rerun += 1
+                        with_twins += partitions[-1]
+        assert (pairs, found, rerun, with_twins) == (3411, 2623, 393, 358)
+
+    def test_no_dead_end_builds_no_partition(self, monkeypatch):
+        monkeypatch.setattr(rainbow_module, "_twin_partition", _refuse)
+        for n in range(6, 13):
+            coloring = all_distinct(n)
+            for spec in PATTERNS:
+                g = build_pattern(spec)
+                if g.n <= n:
+                    emb = find_rainbow(coloring, g)
+                    assert check_embedding(coloring, g, emb), (g, n)
 
 
 def _relabeled_2c3_p4():
