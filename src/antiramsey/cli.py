@@ -23,7 +23,7 @@ import sys
 from .colorings import parse_coloring, serialize_coloring
 from .constructions import clique_coloring, cover_coloring
 from .formulas import UnrecognizedFamilyError, ar_family
-from .graphs import build_pattern, parse_family, parse_graph
+from .graphs import parse_family, parse_graph
 from .oracle import (
     HARD_CEILING,
     _check_budget,
@@ -78,8 +78,7 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_qcover(args) -> int:
-    g = build_pattern(_load_pattern(args))
-    _emit(q_cover(g, args.j).to_json())
+    _emit(q_cover(_load_pattern(args), args.j).to_json())
     return 0
 
 

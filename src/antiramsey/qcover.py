@@ -1,18 +1,20 @@
 """The cover parameter q_j: minimum vertices incident with all but <= j edges.
 
-``q_cover(g, j)`` finds the smallest vertex set R such that at most j edges
-of g avoid R entirely, together with the lexicographically smallest optimal
-witness.  This is the quantity that drives every lower-bound construction in
-the library: if q_j(G) exceeds r, the two-zone coloring with a distinguished
-r-set admits no rainbow copy of G.
+``q_cover(pattern, j)`` finds the smallest vertex set R such that at most j
+edges of the pattern G avoid R entirely, together with the lexicographically
+smallest optimal witness.  This is the quantity that drives every lower-bound
+construction in the library: if q_j(G) exceeds r, the two-zone coloring with
+a distinguished r-set admits no rainbow copy of G.
 
 The default strategy enumerates subsets in ascending cardinality (bitmask
 incidence, first hit in ``itertools.combinations`` order is the lex-smallest
 witness), starting at ``ceil((m - j) / max_deg)``: one vertex covers at most
 max_deg of the m edges.  Pattern graphs here are small with tiny optimal
-covers, so that is usually instant; a branch-and-bound fallback (branching on
-the first uncovered edge, or writing it off against the slack) guards larger
-custom inputs, with the witness rebuilt lexicographically afterwards.
+covers, so that is usually instant.  When a cardinality has too many subsets
+to scan, a depth-first search visits the same sets in the same order, one
+recursion level per pick, and cuts a branch once its picks left cannot reach
+the edges still needed or more than j edges join two passed-over vertices;
+its first hit is the lex-smallest witness directly.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph
+from .graphs import Graph, PatternSpec, build_pattern
 
-# Max number of subsets to scan per cardinality before switching to
-# branch-and-bound.
+# Max number of subsets to scan per cardinality before switching to the
+# pick-by-pick search, ``_lex_cover``.
 _ENUM_LIMIT = 2_000_000
 
 
@@ -49,68 +51,54 @@ def _incidence_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _exists_cover(edges, masks, covered, ignored, budget, slack, chosen_limit) -> bool:
-    """Is there a set of <= budget allowed vertices leaving <= slack edges?
+def _lex_cover(active, masks, m, j, size) -> tuple[int, ...] | None:
+    """Lexicographically smallest set of ``size`` active vertices leaving at
+    most j edges uncovered, or None.
 
-    ``chosen_limit`` masks the vertices still allowed to enter the cover.
-    Branches on the first edge neither covered nor written off, trying each
-    endpoint and, slack permitting, leaving the edge uncovered.
+    One recursion level per pick; each frame tries the next pick
+    ``active[k]`` in ascending k, so sets come in ``itertools.combinations``
+    order.  A frame gives up once ``left`` picks of at most the largest
+    degree among ``active[k:]`` cannot cover the edges still needed, or once
+    more than j edges join two passed-over vertices: both only worsen as k
+    rises.  ``passed`` is the edge mask of the passed-over vertices.
     """
-    target = None
-    for idx, (u, v) in enumerate(edges):
-        bit = 1 << idx
-        if not (covered & bit) and not (ignored & bit):
-            target = (idx, u, v)
-            break
-    if target is None:
-        return True
-    if budget == 0 and slack == 0:
-        return False
-    idx, u, v = target
-    if budget > 0:
-        for w in (u, v):
-            if (chosen_limit >> w) & 1 and _exists_cover(
-                    edges, masks, covered | masks[w], ignored,
-                    budget - 1, slack, chosen_limit):
+    top = [0] * (len(active) + 1)  # top[k]: largest degree among active[k:]
+    for k in range(len(active) - 1, -1, -1):
+        top[k] = max(top[k + 1], int.bit_count(masks[active[k]]))
+    picks: list[int] = []
+
+    def search(i, left, covered, passed, lost) -> bool:
+        need = m - j - int.bit_count(covered)
+        if left == 0:
+            return need <= 0
+        for k in range(i, len(active) - left + 1):
+            if left * top[k] < need:
+                return False
+            v = active[k]
+            picks.append(v)
+            if search(k + 1, left - 1, covered | masks[v], passed, lost):
                 return True
-    if slack > 0 and _exists_cover(edges, masks, covered, ignored | (1 << idx),
-                                   budget, slack - 1, chosen_limit):
-        return True
-    return False
+            picks.pop()
+            # v is passed over: its edges to earlier passed-over vertices are lost
+            lost += int.bit_count(masks[v] & passed)
+            if lost > j:
+                return False
+            passed |= masks[v]
+        return False
+
+    return tuple(picks) if search(0, size, 0, 0, 0) else None
 
 
-def _lex_witness(g: Graph, active, masks, m, j, size) -> tuple[int, ...]:
-    """Lexicographically smallest feasible set of exactly ``size`` vertices."""
-    edges = g.edge_list
-    chosen: list[int] = []
-    covered = 0
-    allowed = 0
-    for v in active:
-        allowed |= 1 << v
-    for v in active:
-        if len(chosen) == size:
-            break
-        trial_allowed = allowed & ~((1 << (v + 1)) - 1)  # only vertices > v may follow
-        if _exists_cover(edges, masks, covered | masks[v], 0,
-                         size - len(chosen) - 1, j, trial_allowed):
-            chosen.append(v)
-            covered |= masks[v]
-        else:
-            allowed &= ~(1 << v)
-    if m - int.bit_count(covered) > j:
-        raise AssertionError("witness reconstruction failed")
-    return tuple(chosen)
-
-
-def q_cover(g: Graph, j: int) -> QResult:
+def q_cover(pattern: PatternSpec, j: int) -> QResult:
     """Exact minimum size of a vertex set incident with all but <= j edges.
 
-    The witness is the lexicographically smallest optimal set.  Isolated
-    vertices never help and are pruned up front.  ``j >= |E|`` gives 0 with
-    an empty witness.
+    The pattern is realized by ``build_pattern``.  The witness is the
+    lexicographically smallest optimal set.  Isolated vertices never help and
+    are pruned up front.  ``j >= |E|`` gives 0 with an empty witness.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
+    g = build_pattern(pattern)
     m = g.num_edges
     if m <= j:
         return QResult(j, 0, ())
@@ -128,9 +116,7 @@ def q_cover(g: Graph, j: int) -> QResult:
                 if m - int.bit_count(covered) <= j:
                     return QResult(j, size, tuple(combo))
         else:
-            allowed = 0
-            for v in active:
-                allowed |= 1 << v
-            if _exists_cover(g.edge_list, masks, 0, 0, size, j, allowed):
-                return QResult(j, size, _lex_witness(g, active, masks, m, j, size))
+            witness = _lex_cover(active, masks, m, j, size)
+            if witness is not None:
+                return QResult(j, size, witness)
 

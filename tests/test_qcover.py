@@ -15,6 +15,7 @@ from antiramsey import (
     Union,
     build_pattern,
     disjoint_union,
+    parse_family,
     q_cover,
 )
 from antiramsey import qcover as qcover_module
@@ -78,6 +79,14 @@ class TestWitness:
         g = Graph(8, [(3, 4), (5, 6)])
         res = q_cover(g, 0)
         assert set(res.witness) <= {3, 4, 5, 6}
+
+    @pytest.mark.parametrize("spec", [
+        Path(3), Cycle(5), Matching(4), TriplePath(2),
+        Union(Cycle(3), Matching(2)), Union(Path(4), TriplePath(1), Matching(1)),
+    ])
+    def test_takes_a_pattern_spec(self, spec):
+        for j in range(3):
+            assert q_cover(spec, j) == q_cover(build_pattern(spec), j)
 
     def test_negative_slack_rejected(self):
         with pytest.raises(ValueError):
@@ -224,3 +233,37 @@ class TestBranchAndBoundFallback:
         monkeypatch.setattr(qcover_module, "_ENUM_LIMIT", 0)
         forced = [q_cover(g, j) for g, j in cases]
         assert forced == expected
+        for _ in range(300):
+            n = rng.randrange(1, 10)
+            universe = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = Graph(n, rng.sample(universe, rng.randrange(0, len(universe) + 1)))
+            j = rng.randrange(0, 5)
+            res = q_cover(g, j)
+            assert (res.value, res.witness) == brute_q(g, j), (g.edge_list, j)
+
+
+class TestLargeCovers:
+    """Inputs past the subset scan's limit, each answered by the pick search."""
+
+    def test_pinned_unions_and_deep_inputs(self):
+        w15 = (0, 2, 4, 6, 8, 11, 14, 17, 20, 23, 26, 28, 30, 32, 34)
+        w20 = (0, 2, 4, 6, 8, 10, 13, 16, 19, 22, 25, 28, 31, 34, 36, 38, 40,
+               42, 44, 46)
+        cases = [
+            ("P10+6P3+5P2", 1, 15, w15),
+            ("P10+6P3+5P2", 2, 14, w15[:-1]),
+            ("P12+8P3+6P2", 0, 20, w20),
+            ("P12+8P3+6P2", 1, 19, w20[:-1]),
+        ]
+        for family, j, value, witness in cases:
+            assert q_cover(parse_family(family), j) == qcover_module.QResult(
+                j, value, witness), (family, j)
+        # the search recurses once per pick, so a 600-vertex cover stays
+        # under the default recursion limit
+        deep = [
+            (Matching(600), 600, tuple(range(0, 1200, 2))),
+            (Path(1200), 600, tuple(range(1, 1200, 2))),
+            (Cycle(1100), 550, tuple(range(0, 1100, 2))),
+        ]
+        for spec, value, witness in deep:
+            assert q_cover(spec, 0) == qcover_module.QResult(0, value, witness), spec
