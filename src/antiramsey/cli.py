@@ -4,6 +4,11 @@ Subcommands: formula, qcover, construct, rainbow, oracle, verify.  Human
 logs go to stderr only; stdout carries a single JSON document so outputs are
 byte-stable.  Only ``oracle`` emits a timing field; its --no-meta drops it.
 
+One renderer turns results into JSON: a pattern becomes its family name
+(``C3+2P2``, ``custom(n=3,m=2)``), an ``EdgeColoring`` its coloring text, a
+``Fraction`` its exact string (``"70/3"``), any other dataclass an object
+keyed by its field names, and a tuple a list.  Keys are sorted.
+
 Exit codes: 0 success, 1 usage or input error, 2 infeasible host or
 exhausted search budget (for verify: any row ``inconclusive`` or
 ``skipped-infeasible``, or no row ``ok``; ``skipped-small`` rows beside an
@@ -19,11 +24,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 
-from .colorings import parse_coloring, serialize_coloring
+from .colorings import EdgeColoring, parse_coloring, serialize_coloring
 from .constructions import clique_coloring, cover_coloring
 from .formulas import UnrecognizedFamilyError, ar_family
-from .graphs import parse_family, parse_graph
+from .graphs import PatternSpec, family_name, parse_family, parse_graph
 from .oracle import (
     HARD_CEILING,
     _check_budget,
@@ -45,8 +52,26 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
+def _plain(x):
+    """``x`` in JSON types, by the rules in the module docstring."""
+    # pattern specs and colorings are dataclasses too, so they go first
+    if isinstance(x, PatternSpec):
+        return family_name(x)
+    if isinstance(x, EdgeColoring):
+        return serialize_coloring(x)
+    if isinstance(x, Fraction):
+        return str(x)
+    if is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, (tuple, list)):
+        return [_plain(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    return x
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(json.dumps(_plain(obj), sort_keys=True))
 
 
 def _load_pattern(args):
@@ -58,10 +83,7 @@ def _load_pattern(args):
 
 def _cmd_formula(args) -> int:
     spec = parse_family(args.family)
-    if (args.n is None) == (args.grid is None):
-        print("need exactly one of --n or --grid", file=sys.stderr)
-        return USAGE_ERROR
-    if args.grid:
+    if args.grid is not None:
         lo, _, hi = args.grid.partition("..")
         try:
             ns = range(int(lo), int(hi) + 1)
@@ -71,14 +93,14 @@ def _cmd_formula(args) -> int:
             print(f"bad grid {args.grid!r}, expected 'N1..N2' with N1 <= N2",
                   file=sys.stderr)
             return USAGE_ERROR
-        _emit([ar_family(n, spec).to_json() for n in ns])
+        _emit([ar_family(n, spec) for n in ns])
     else:
-        _emit(ar_family(args.n, spec).to_json())
+        _emit(ar_family(args.n, spec))
     return 0
 
 
 def _cmd_qcover(args) -> int:
-    _emit(q_cover(_load_pattern(args), args.j).to_json())
+    _emit(q_cover(_load_pattern(args), args.j))
     return 0
 
 
@@ -104,12 +126,8 @@ def _cmd_construct(args) -> int:
 def _cmd_rainbow(args) -> int:
     with open(args.coloring, encoding="utf-8") as fh:
         coloring = parse_coloring(fh.read())
-    pattern = _load_pattern(args)
-    emb = find_rainbow(coloring, pattern)
-    if emb is None:
-        _emit({"found": False, "map": None})
-    else:
-        _emit({"found": True, "map": list(emb.map)})
+    emb = find_rainbow(coloring, _load_pattern(args))
+    _emit({"found": emb is not None, "map": None if emb is None else emb.map})
     return 0
 
 
@@ -126,14 +144,17 @@ def _cmd_oracle(args) -> int:
 
     result = max_rainbow_free(args.n, spec, args.budget, on_progress=log_progress)
     print(f"explored {result.nodes_explored} nodes total", file=sys.stderr)
-    _emit(result.to_json(meta=not args.no_meta))
+    out = _plain(result)
+    if args.no_meta:
+        del out["elapsed"]
+    _emit(out)
     return 0 if result.conclusive else INFEASIBLE
 
 
 def _cmd_verify(args) -> int:
     spec = parse_family(args.family)
     report = verify_range(spec, args.n_from, args.n_to, args.budget)
-    _emit(report.to_json())
+    _emit(report)
     if report.mismatches:
         return MISMATCH
     statuses = {r.status for r in report.rows}
@@ -150,8 +171,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("formula", help="evaluate the closed form for a family")
     p.add_argument("--family", required=True,
                    help="family text, e.g. P5, C4, 3P2, C3+2P2")
-    p.add_argument("--n", type=int)
-    p.add_argument("--grid", help="evaluate over a range, e.g. 10..20")
+    hosts = p.add_mutually_exclusive_group(required=True)
+    hosts.add_argument("--n", type=int)
+    hosts.add_argument("--grid", help="evaluate over a range, e.g. 10..20")
     p.set_defaults(func=_cmd_formula)
 
     p = sub.add_parser("qcover", help="minimum vertices incident with all but <= j edges")

@@ -92,20 +92,6 @@ class BoundReport:
     valid: dict = field(default_factory=dict)
     provenance: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        def frac(x):
-            return None if x is None else str(Fraction(x))
-
-        return {
-            "family": family_name(self.family),
-            "n": self.n,
-            "lower": frac(self.lower),
-            "upper": frac(self.upper),
-            "exact": self.exact,
-            "valid": dict(self.valid),
-            "provenance": list(self.provenance),
-        }
-
 
 def integer_bounds(report: BoundReport) -> tuple[int | None, int | None]:
     """Best integer bounds for display: ceil the lower, floor the upper."""

@@ -69,9 +69,9 @@ import time
 from dataclasses import dataclass
 from itertools import permutations
 
-from .colorings import EdgeColoring, edge_index, serialize_coloring
+from .colorings import EdgeColoring, edge_index
 from .formulas import ar_family
-from .graphs import Graph, PatternSpec, build_pattern, family_name
+from .graphs import Graph, PatternSpec, build_pattern
 
 HARD_CEILING = 7
 DEFAULT_BUDGET_N7 = 30_000_000
@@ -87,20 +87,6 @@ class OracleResult:
     nodes_explored: int
     elapsed: float
     conclusive: bool
-
-    def to_json(self, meta: bool = True) -> dict:
-        out = {
-            "n": self.n,
-            "pattern": family_name(self.pattern),
-            "max_rainbow_free_colors": self.max_rainbow_free_colors,
-            "ar_exact": self.ar_exact,
-            "witness": None if self.witness is None else serialize_coloring(self.witness),
-            "nodes_explored": self.nodes_explored,
-            "conclusive": self.conclusive,
-        }
-        if meta:
-            out["elapsed"] = self.elapsed
-        return out
 
 
 def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
@@ -320,16 +306,6 @@ class RangeRow:
     formula_valid: bool | None
     match: bool | None
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "status": self.status,
-            "ar_oracle": self.ar_oracle,
-            "formula_exact": self.formula_exact,
-            "formula_valid": self.formula_valid,
-            "match": self.match,
-        }
-
 
 @dataclass(frozen=True)
 class RangeReport:
@@ -338,15 +314,6 @@ class RangeReport:
     n_to: int
     rows: tuple[RangeRow, ...]
     mismatches: tuple[int, ...]  # n where a valid formula disagreed (must be empty)
-
-    def to_json(self) -> dict:
-        return {
-            "family": family_name(self.family),
-            "n_from": self.n_from,
-            "n_to": self.n_to,
-            "rows": [r.to_json() for r in self.rows],
-            "mismatches": list(self.mismatches),
-        }
 
 
 def verify_range(spec: PatternSpec, n_from: int, n_to: int,

@@ -12,7 +12,7 @@ witness), starting at ``ceil((m - j) / max_deg)``: one vertex covers at most
 max_deg of the m edges.  Pattern graphs here are small with tiny optimal
 covers, so that is usually instant.  When a cardinality has too many subsets
 to scan, a depth-first search visits the same sets in the same order, one
-recursion level per pick, and cuts a branch once its picks left cannot reach
+stack frame per pick, and cuts a branch once its picks left cannot reach
 the edges still needed or more than j edges join two passed-over vertices;
 its first hit is the lex-smallest witness directly.
 """
@@ -38,9 +38,6 @@ class QResult:
     value: int
     witness: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {"j": self.j, "value": self.value, "witness": list(self.witness)}
-
 
 def _incidence_masks(g: Graph) -> list[int]:
     """Per-vertex bitmask over edge indices."""
@@ -55,38 +52,37 @@ def _lex_cover(active, masks, m, j, size) -> tuple[int, ...] | None:
     """Lexicographically smallest set of ``size`` active vertices leaving at
     most j edges uncovered, or None.
 
-    One recursion level per pick; each frame tries the next pick
-    ``active[k]`` in ascending k, so sets come in ``itertools.combinations``
-    order.  A frame gives up once ``left`` picks of at most the largest
-    degree among ``active[k:]`` cannot cover the edges still needed, or once
-    more than j edges join two passed-over vertices: both only worsen as k
-    rises.  ``passed`` is the edge mask of the passed-over vertices.
+    A depth-first search with one stack frame per pick; each frame tries the
+    next pick ``active[k]`` in ascending k, so sets come in
+    ``itertools.combinations`` order.  A frame gives up once ``left`` picks of
+    at most the largest degree among ``active[k:]`` cannot cover the edges
+    still needed, or once more than j edges join two passed-over vertices:
+    both only worsen as k rises.  ``passed`` is the edge mask of the
+    passed-over vertices.
     """
     top = [0] * (len(active) + 1)  # top[k]: largest degree among active[k:]
     for k in range(len(active) - 1, -1, -1):
         top[k] = max(top[k + 1], int.bit_count(masks[active[k]]))
-    picks: list[int] = []
-
-    def search(i, left, covered, passed, lost) -> bool:
+    frames = []  # per pick: (k, covered, passed, lost) as they were before it
+    k = covered = passed = lost = 0
+    while True:
+        left = size - len(frames)
         need = m - j - int.bit_count(covered)
-        if left == 0:
-            return need <= 0
-        for k in range(i, len(active) - left + 1):
-            if left * top[k] < need:
-                return False
-            v = active[k]
-            picks.append(v)
-            if search(k + 1, left - 1, covered | masks[v], passed, lost):
-                return True
-            picks.pop()
-            # v is passed over: its edges to earlier passed-over vertices are lost
-            lost += int.bit_count(masks[v] & passed)
-            if lost > j:
-                return False
-            passed |= masks[v]
-        return False
-
-    return tuple(picks) if search(0, size, 0, 0, 0) else None
+        if left == 0 and need <= 0:
+            return tuple(active[f[0]] for f in frames)
+        if lost <= j and 0 < left <= len(active) - k and left * top[k] >= need:
+            frames.append((k, covered, passed, lost))
+            covered |= masks[active[k]]
+            k += 1
+        elif frames:
+            # pass over the last pick: its edges to earlier passed-over
+            # vertices are lost
+            k, covered, passed, lost = frames.pop()
+            lost += int.bit_count(masks[active[k]] & passed)
+            passed |= masks[active[k]]
+            k += 1
+        else:
+            return None
 
 
 def q_cover(pattern: PatternSpec, j: int) -> QResult:

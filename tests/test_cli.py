@@ -1,5 +1,6 @@
 """CLI surface: JSON output, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -56,6 +57,14 @@ class TestFormula:
         code, _out, err = run(capsys, "formula", "--family", "2P2", "--n", "4")
         assert code == 1
         assert "closed form" in err
+
+    @pytest.mark.parametrize("hosts", [("--n", "5", "--grid", "3..6"), ()],
+                             ids=["both", "neither"])
+    def test_needs_exactly_one_of_n_and_grid(self, capsys, hosts):
+        with pytest.raises(SystemExit) as exc:
+            main(["formula", "--family", "C3", *hosts])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestQcover:
@@ -242,3 +251,42 @@ class TestPlumbing:
             code, out, err = run(capsys, "formula", "--family", "C3", "--grid", grid)
             assert code == 1, grid
             assert out == "" and grid in err
+
+
+class TestOutputBytes:
+    """The exact stdout of a fixed list of invocations, one per report shape."""
+
+    GRID = ["P2", "3P2", "P3", "3P3", "P2+2P3", "P3+3P2", "2P3+2P2", "C5",
+            "C3+2P2", "C4+1P2", "P5+2P3", "P6", "P4+2P2", "P6+2P2"]
+    ARGVS = [
+        *(("formula", "--family", family, "--grid", "11..14") for family in GRID),
+        ("qcover", "--family", "P10+6P3+5P2", "--j", "2"),
+        ("qcover", "--graph", "p4.txt", "--j", "1"),
+        ("oracle", "--family", "C3", "--n", "4", "--no-meta"),
+        ("oracle", "--family", "C3", "--n", "6", "--budget", "100", "--no-meta"),
+        ("verify", "--family", "C4", "--n-from", "3", "--n-to", "4"),
+        ("verify", "--family", "C4", "--n-from", "7", "--n-to", "8",
+         "--budget", "1000"),
+        ("construct", "--mode", "lemma", "--n", "11", "--r1", "1", "--s", "1",
+         "--out", "cover.txt"),
+        ("construct", "--mode", "clique", "--n", "10", "--m", "4",
+         "--out", "clique.txt"),
+        ("rainbow", "--coloring", "cover.txt", "--family", "2P3"),
+        ("rainbow", "--coloring", "clique.txt", "--family", "P2+P3"),
+    ]
+
+    def test_digest(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p4.txt").write_text(serialize_graph(build_pattern(Path(3))))
+        outs = []
+        for argv in self.ARGVS:
+            _code, out, _err = run(capsys, *argv)
+            assert out.endswith("}\n") or out.endswith("]\n"), argv
+            outs.append(out)
+        text = "".join(outs)
+        assert '"upper": "70/3"' in text
+        for status in ("ok", "skipped-small", "skipped-infeasible", "inconclusive"):
+            assert f'"status": "{status}"' in text, status
+        assert '"found": true' in text and '"found": false' in text
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == "97df59c66c462b5ba85d5d6410682948ea42dd7004c8a7a50ba579ecb9fd1d58"

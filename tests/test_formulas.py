@@ -28,6 +28,7 @@ from antiramsey import (
     transfer_upper_bound,
     triples_step_threshold,
 )
+from antiramsey.cli import _plain
 
 
 class TestPath:
@@ -249,7 +250,7 @@ class TestFamilyDispatch:
             assert outcome(short_paths, n) == outcome(canonical, n), n
 
     def test_report_json_shape(self):
-        js = ar_family(11, Union(Cycle(4), Matching(1))).to_json()
+        js = _plain(ar_family(11, Union(Cycle(4), Matching(1))))
         assert js["family"] == "C4+P2"
         assert js["lower"] == "12"
         assert js["upper"] == "70/3"

@@ -19,6 +19,7 @@ from antiramsey import (
     parse_graph,
     verify_range,
 )
+from antiramsey.cli import _plain
 
 from brute import serialize_graph
 
@@ -63,7 +64,7 @@ class TestBuildPattern:
          Graph(5, [(0, 1), (1, 2), (3, 4)])),
         (lambda g: pytest.raises(UnrecognizedFamilyError, ar_family, 5, g).type,
          UnrecognizedFamilyError),
-        (lambda g: verify_range(g, 3, 4).to_json()["family"], "custom(n=3,m=2)"),
+        (lambda g: _plain(verify_range(g, 3, 4))["family"], "custom(n=3,m=2)"),
     ], ids=["build_pattern", "family_name", "union_name", "union_build",
             "ar_family", "verify_range"])
     def test_bare_graph_is_a_pattern(self, entry, expected):

@@ -21,6 +21,7 @@ from antiramsey import (
     q_cover,
     verify_range,
 )
+from antiramsey.cli import _plain
 
 from brute import iso_classes, naive_has_rainbow, rg_strings
 
@@ -305,6 +306,6 @@ class TestVerifyRange:
             verify_range(Cycle(3), n_from, n_to)
 
     def test_json_shape(self):
-        js = verify_range(Matching(2), 5, 5).to_json()
+        js = _plain(verify_range(Matching(2), 5, 5))
         assert js["family"] == "2P2"
         assert js["rows"][0]["ar_oracle"] == 2

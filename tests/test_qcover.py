@@ -258,12 +258,13 @@ class TestLargeCovers:
         for family, j, value, witness in cases:
             assert q_cover(parse_family(family), j) == qcover_module.QResult(
                 j, value, witness), (family, j)
-        # the search recurses once per pick, so a 600-vertex cover stays
-        # under the default recursion limit
         deep = [
             (Matching(600), 600, tuple(range(0, 1200, 2))),
             (Path(1200), 600, tuple(range(1, 1200, 2))),
             (Cycle(1100), 550, tuple(range(0, 1100, 2))),
+            (Matching(1000), 1000, tuple(range(0, 2000, 2))),
+            (Path(2400), 1200, tuple(range(1, 2400, 2))),
+            (Cycle(2100), 1050, tuple(range(0, 2100, 2))),
         ]
         for spec, value, witness in deep:
             assert q_cover(spec, 0) == qcover_module.QResult(0, value, witness), spec
