@@ -16,7 +16,9 @@ exhausted search budget (for verify: any row ``inconclusive`` or
 exhaustive search, ahead of 2.  A ``--budget`` below 1 exits 1 on any host,
 one above the ceiling included.  A reversed range (``formula --grid 9..5``,
 ``verify --n-from 6 --n-to 3``) and a negative ``verify`` host
-(``--n-from -3``) are input errors and exit 1.
+(``--n-from -3``) are input errors and exit 1, and so is a ``construct``
+flag of the other mode (``--m`` with ``--mode lemma``, ``--r1`` or ``--s``
+with ``--mode clique``), which writes no file.
 """
 
 from __future__ import annotations
@@ -105,16 +107,19 @@ def _cmd_qcover(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.mode == "lemma":
-        if args.r1 is None or args.s is None:
-            print("--mode lemma needs --r1 and --s", file=sys.stderr)
-            return USAGE_ERROR
-        coloring = cover_coloring(args.n, args.r1, args.s)
-    else:
-        if args.m is None:
-            print("--mode clique needs --m", file=sys.stderr)
-            return USAGE_ERROR
-        coloring = clique_coloring(args.n, args.m)
+    lemma = args.mode == "lemma"
+    given = {f"--{k}" for k in ("r1", "s", "m") if getattr(args, k) is not None}
+    needs = {"--r1", "--s"} if lemma else {"--m"}
+    if not needs <= given:
+        print(f"--mode {args.mode} needs {' and '.join(sorted(needs))}",
+              file=sys.stderr)
+        return USAGE_ERROR
+    if given - needs:
+        print(f"--mode {args.mode} takes no {' or '.join(sorted(given - needs))}",
+              file=sys.stderr)
+        return USAGE_ERROR
+    coloring = (cover_coloring(args.n, args.r1, args.s) if lemma
+                else clique_coloring(args.n, args.m))
     text = serialize_coloring(coloring)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)

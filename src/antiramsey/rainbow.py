@@ -33,15 +33,23 @@ Search organization:
   of each class met so far with its sorted color counts (every twin pair
   has equal ones), and the first hit names its class;
 * twin classes are built only at the first dead end, a subtree that fails.
-  Until then every host is its own class; at the first dead end the search
-  stops and reruns from slot 0 under the real classes.  This is exact: a
-  twin skip needs a class already tried in the same frame, and before the
-  first dead end every tried host is on the current path or clashed.
-  Twins clash together, because their swap fixes every used color (those
+  Until then every host is its own class and its label is its own id; at
+  the first dead end the frame that met it builds the real classes in
+  place and the search carries on from there.  This is exact.  Before the
+  first dead end every tried host is on the current path or clashed, and
+  twins clash together, because their swap fixes every used color (those
   lie on edges away from both twins) and maps the new edge colors
   bijectively.  So a search without a dead end walks the path of a search
   with twin classes to the same witness, and most "yes" answers never pay
-  for the partition or for the per-row color counts it reads;
+  for the partition or for the per-row color counts it reads.  After a
+  failed subtree a frame records the failed host's label, which after the
+  switch is its real class, so frames open at the switch keep their
+  pruning.  The skip relies on one invariant: a label is a member of its
+  own class (its smallest one).  A host h is skipped only when its label
+  is already in its frame's set, recorded either as a host id before the
+  switch or as a label after it; either way a twin of h was tried under
+  the same placed prefix and clashed or failed a complete subtree, so h's
+  subtree holds no copy and the first copy found is unchanged;
 * the slot plan depends on the pattern alone and is cached per pattern.
 
 Colors couple across components, so per-component results are never cached;
@@ -90,8 +98,7 @@ def check_embedding(coloring: EdgeColoring, pattern: PatternSpec,
 # Host twin classes
 # ---------------------------------------------------------------------------
 
-def _twin_partition(mat: list[list[int]], class_size: list[int],
-                    inc: list[Counter]) -> list[int]:
+def _twin_partition(mat: list[list[int]], class_size: list[int]) -> list[int]:
     """Partition host vertices into interchangeability classes.
 
     u and v land in one class when swapping them maps every color class of
@@ -99,16 +106,17 @@ def _twin_partition(mat: list[list[int]], class_size: list[int],
     using v can be rewritten to use u.  The relation is transitive by
     conjugation: (u w) = (u v)(v w)(u v), and a composite of maps that carry
     color classes onto color classes is again one.  ``mat`` is
-    ``color_matrix()``, ``class_size[c]`` the number of host edges of color c
-    and ``inc[u]`` the ``Counter`` of row u.  A twin swap comes with a color
-    bijection that carries row u onto row v entry by entry, so twins have
-    equal sorted color counts; pairs whose counts differ are never tested.
+    ``color_matrix()`` and ``class_size[c]`` the number of host edges of
+    color c.  A twin swap comes with a color bijection that carries row u
+    onto row v entry by entry, so twins have equal sorted color counts;
+    pairs whose counts differ are never tested.
     Hosts come in ascending order, and each is tested against the smallest
     member of each class already in its count group.  As the relation is
     an equivalence, the first hit is its class and a miss on all of them
     starts a new one, so every label is the host's smallest twin.
     """
     n = len(mat)
+    inc = [Counter(row) for row in mat]
 
     def appears_elsewhere(c: int, u: int, v: int) -> bool:
         cnt = class_size[c] - inc[u][c] - inc[v][c]
@@ -225,10 +233,6 @@ def _build_plan(g: Graph):
 # Search
 # ---------------------------------------------------------------------------
 
-class _DeadEnd(Exception):
-    """A subtree failed before the twin classes were built."""
-
-
 def find_rainbow(coloring: EdgeColoring,
                  pattern: PatternSpec) -> Embedding | None:
     """First rainbow embedding in the deterministic search order, or None.
@@ -254,12 +258,13 @@ def find_rainbow(coloring: EdgeColoring,
         return None
     slots, isolated = _build_plan(g)
 
-    twin = identity = range(n)  # every host its own class until a dead end
+    twin = range(n)  # every host its own class until the first dead end
     assignment = [-1] * g.n
     used_host = [False] * n
     used_color = bytearray(coloring.num_colors)
 
     def place(si: int) -> bool:
+        nonlocal twin
         if si == len(slots):
             return True
         v, nbrs, prev_root = slots[si]
@@ -267,12 +272,9 @@ def find_rainbow(coloring: EdgeColoring,
         need = pdeg[v]
         tried_classes = set()
         for h in range(lo, n):
-            if used_host[h] or color_degree[h] < need:
+            if used_host[h] or color_degree[h] < need or twin[h] in tried_classes:
                 continue
-            tc = twin[h]
-            if tc in tried_classes:
-                continue
-            tried_classes.add(tc)
+            tried_classes.add(twin[h])
             new_colors = []
             ok = True
             for u in nbrs:
@@ -289,23 +291,16 @@ def find_rainbow(coloring: EdgeColoring,
                 used_color[c] = 1
             if place(si + 1):
                 return True
-            if twin is identity:
-                raise _DeadEnd
+            if isinstance(twin, range):  # the first dead end
+                twin = _twin_partition(mat, class_size)
+            tried_classes.add(twin[h])  # h's real class, once classes exist
             for c in new_colors:
                 used_color[c] = 0
             used_host[h] = False
             assignment[v] = -1
         return False
 
-    try:
-        found = place(0)
-    except _DeadEnd:  # rerun from slot 0 under the real twin classes
-        twin = _twin_partition(mat, class_size, [Counter(row) for row in mat])
-        assignment[:] = [-1] * g.n
-        used_host[:] = [False] * n
-        used_color[:] = bytes(coloring.num_colors)
-        found = place(0)
-    if not found:
+    if not place(0):
         return None
     free = iter(h for h in range(n) if not used_host[h])
     for v in isolated:

@@ -107,6 +107,19 @@ class TestConstruct:
                               "--out", str(tmp_path / "c.txt"))
         assert code == 1
 
+    @pytest.mark.parametrize("argv, stray", [
+        (("--mode", "lemma", "--n", "5", "--r1", "1", "--s", "2", "--m", "3"), "--m"),
+        (("--mode", "clique", "--n", "5", "--m", "3", "--r1", "2"), "--r1"),
+        (("--mode", "clique", "--n", "5", "--m", "3", "--s", "2"), "--s"),
+    ])
+    def test_other_mode_flag(self, capsys, tmp_path, argv, stray):
+        out = tmp_path / "c.txt"
+        code, stdout, err = run(capsys, "construct", *argv, "--out", str(out))
+        assert code == 1
+        assert stray in err
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestRainbow:
     def test_none_on_monochromatic(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Rainbow-copy search: soundness, completeness, and symmetry."""
 
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -227,8 +228,7 @@ def _library_twins(coloring):
     """``_twin_partition`` fed as ``find_rainbow`` feeds it."""
     mat = coloring.color_matrix()
     class_size = [coloring.colors.count(c) for c in range(coloring.num_colors)]
-    return rainbow_module._twin_partition(mat, class_size,
-                                          [Counter(row) for row in mat])
+    return rainbow_module._twin_partition(mat, class_size)
 
 
 def _planted_twin_colorings():
@@ -410,20 +410,29 @@ _FIRST_HIT_PATTERNS = [
 
 
 class TestLazyTwinClasses:
-    # twin classes are built at the first failed subtree, and the search then
-    # reruns under them; neither the search before nor the rerun may change
-    # which copy comes first
+    # twin classes are built at the first failed subtree, by the `place`
+    # frame that met it, and the search carries on from that frame under
+    # them; neither the search before the switch nor the one after it may
+    # change which copy comes first
     def test_witness_is_the_unpruned_first_hit(self, monkeypatch):
         _twin_partition = rainbow_module._twin_partition
         partitions = []  # per built partition: does it have a twin pair?
+        open_frames = []  # per built partition: `place` frames on the stack
 
         def recorded(*args):
+            frame, depth = sys._getframe(1), 0
+            while frame is not None:
+                code = frame.f_code
+                depth += (code.co_name == "place"
+                          and code.co_filename == rainbow_module.__file__)
+                frame = frame.f_back
+            open_frames.append(depth)
             label = _twin_partition(*args)
             partitions.append(len(set(label)) < len(label))
             return label
 
         monkeypatch.setattr(rainbow_module, "_twin_partition", recorded)
-        pairs = found = rerun = with_twins = 0
+        pairs = found = found_after_build = with_twins = none_after_build = 0
         for coloring in _twin_test_colorings():
             for spec in _FIRST_HIT_PATTERNS:
                 g = build_pattern(spec)
@@ -434,12 +443,19 @@ class TestLazyTwinClasses:
                 got = None if emb is None else emb.map
                 assert got == first_rainbow(coloring, g), (g, coloring)
                 pairs += 1
-                if emb is not None:
+                built = len(partitions) > before
+                if emb is None:
+                    none_after_build += built
+                else:
                     found += 1
-                    if len(partitions) > before:
-                        rerun += 1
+                    if built:
+                        found_after_build += 1
                         with_twins += partitions[-1]
-        assert (pairs, found, rerun, with_twins) == (3411, 2623, 393, 358)
+        assert (pairs, found, found_after_build, with_twins) == (3411, 2623, 393, 358)
+        assert none_after_build == 104  # of the 3411 - 2623 = 788 "no" answers
+        # every build happens inside the search, in a frame past slot 0
+        assert len(open_frames) == 497
+        assert min(open_frames) >= 2
 
     def test_no_dead_end_builds_no_partition(self, monkeypatch):
         monkeypatch.setattr(rainbow_module, "_twin_partition", _refuse)
