@@ -3,6 +3,11 @@
 Subcommands: formula, qcover, construct, rainbow, oracle, verify.  Human
 logs go to stderr only; stdout carries a single JSON document so outputs are
 byte-stable.  Only ``oracle`` emits a timing field; its --no-meta drops it.
+``oracle`` logs its progress to stderr as JSON lines, one object
+``{"nodes": N, "best": B, "nodes_per_s": R}`` every
+``oracle.PROGRESS_INTERVAL`` nodes and one more when the search ends: the
+nodes explored, the most colors found so far, and the nodes per second
+since the command started, rounded to an integer.
 
 One renderer turns results into JSON: a pattern becomes its family name
 (``C3+2P2``, ``custom(n=3,m=2)``), an ``EdgeColoring`` its coloring text, a
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -144,11 +150,15 @@ def _cmd_oracle(args) -> int:
               f"({HARD_CEILING})", file=sys.stderr)
         return INFEASIBLE
 
+    start = time.perf_counter()
+
     def log_progress(nodes, best):
-        print(f"explored {nodes} nodes, best so far {best}", file=sys.stderr)
+        rate = round(nodes / max(time.perf_counter() - start, 1e-9))
+        print(json.dumps({"nodes": nodes, "best": best, "nodes_per_s": rate}),
+              file=sys.stderr)
 
     result = max_rainbow_free(args.n, spec, args.budget, on_progress=log_progress)
-    print(f"explored {result.nodes_explored} nodes total", file=sys.stderr)
+    log_progress(result.nodes_explored, result.max_rainbow_free_colors)
     out = _plain(result)
     if args.no_meta:
         del out["elapsed"]

@@ -23,19 +23,20 @@ automatically surjective.  Depth-first branch and bound:
 
 Every piece of search state is a set of placements.  All placements of the
 pattern are enumerated and numbered once, and a set of them is a bit mask
-over those numbers.  A frame carries four things: the edge i it colors, the
-number of colors open, the bit mask of blocked edges, and the placements
-whose colored edges repeat a color (``dead``); each color id keeps the
-placements holding it (``tinted``).  The count of unblocked uncolored edges
-is derived from the mask.  The rainbow check is one mask test: coloring
-edge i with c completes a rainbow copy exactly when some placement whose
-largest rank is i is not dead (it *closes* on i) and holds no edge of color
-c.  Blocking is tracked incrementally: coloring edge i leaves the
-placements whose second-largest rank is i with one uncolored edge e, and e
-becomes blocked when one of them is not dead in the child.  So edge i is
-blocked exactly when some placement closes on it, and that decides whether
-a fresh color is tried; a one-edge placement closes on its edge from the
-start, so a one-edge pattern never opens a color.
+over those numbers.  A frame carries five things: the edge i it colors, the
+number of colors open, the bit mask of blocked edges, the placements whose
+colored edges carry distinct colors (``alive``), and the placements through
+a blocked uncolored edge (``tb``); each color id keeps the placements
+holding it (``tinted``).  The count of unblocked uncolored edges is derived
+from the mask.  The rainbow check is one mask test: coloring edge i with c
+completes a rainbow copy exactly when some live placement has largest rank
+i (it *closes* on i) and holds no edge of color c.  Blocking is tracked
+incrementally: coloring edge i leaves the placements whose second-largest
+rank is i with one uncolored edge e, and e becomes blocked when one of them
+is alive in the child.  So edge i is blocked exactly when some placement
+closes on it, and that decides whether a fresh color is tried; a one-edge
+placement closes on its edge from the start, so a one-edge pattern never
+opens a color.
 
 The packing bound tightens the blocked-edge bound by one for each placement
 in a greedy packing (the "disjoint inconsistent subsets" bound of Max-SAT
@@ -50,7 +51,20 @@ size) cannot beat the incumbent.  Each packed placement uses two unblocked
 uncolored edges, so with slack = (colors open) + (unblocked uncolored
 edges) - (incumbent) the scan runs only where 2 * slack <= (unblocked
 uncolored edges), and stops once the packing reaches the slack.  Its
-candidates are the placements with two or more edges that are not dead.
+candidates are the live placements with two or more edges, less ``tb``.
+
+``tb`` is handed down, not rebuilt at each scan.  A child's blocked edges
+are its parent's uncolored blocked edges plus those the parent's coloring
+blocks, less edge i itself, so a child's ``tb`` is its parent's joined with
+the placements through each newly blocked edge.  Only where edge i is
+itself blocked does the frame rebuild ``tb`` from the blocked edges above i
+before its children: coloring i frees the placements through it, except
+those that another blocked edge holds, and only the mask tells which.
+After a placement is packed the scan drops every candidate sharing one of
+its uncolored edges, the union of ``through`` over them.  That union
+depends only on the uncolored edge set, so each call caches it by that
+edge mask, and a cached union is exact.
+
 Host-vertex symmetry pruning is not attempted here (a known optimization
 hook).
 
@@ -101,9 +115,9 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
     * ``through[e]``: the placements through edge e;
     * ``last[e]``: the placements whose largest rank is e.  When edge e is
       next to color every other edge of these is colored;
-    * ``near[i]``: ``(e, set)`` pairs, the placements whose second-largest
-      rank is i grouped by their largest rank e.  Once edge i is colored
-      each has one uncolored edge left, e;
+    * ``near[i]``: ``(1 << e, set, through[e])`` triples, the placements
+      whose second-largest rank is i grouped by their largest rank e.  Once
+      edge i is colored each has one uncolored edge left, e;
     * ``wide``: the placements with two or more edges, the packing's
       candidates.
 
@@ -139,7 +153,8 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
             group = groups[ranks[-2]]
             group[ranks[-1]] = group.get(ranks[-1], 0) | bit
             wide |= bit
-    near = [list(group.items()) for group in groups]
+    near = [[(1 << e, group, through[e]) for e, group in gs.items()]
+            for gs in groups]
     return masks, through, last, near, wide
 
 
@@ -182,8 +197,9 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
 
     m = n * (n - 1) // 2
     masks, through, last, near, wide = _placement_index(n, g)
-    # keyed by edge e's bit: the placements that miss e
-    missing = {1 << e: ~through[e] for e in range(m)}
+    # keyed by an edge mask: the union of through over its edges, for the
+    # uncolored edges of the placements the packing scan packs
+    spans: dict[int, int] = {}
     # per color id: the placements with a colored edge of that color
     tinted = [0] * (m + 1)
     # color ids tried at a node with cmax colors open: fresh first, then
@@ -191,6 +207,10 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
     orders = [(c, *range(c)) for c in range(m + 1)]
     reuses = [tuple(range(c)) for c in range(m + 1)]
     limit = -1 if node_budget is None else node_budget  # nodes never reaches -1
+    # a node count rec stops at, before counting the next node: the budget
+    # or the count before the next progress report, whichever comes first
+    report = -1 if on_progress is None else PROGRESS_INTERVAL - 1
+    mark = limit if report < 0 else report if limit < 0 else min(limit, report)
     color = [0] * m
     best = 0
     best_colors: list[int] | None = None
@@ -198,11 +218,21 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
     budget_hit = False
     start = time.perf_counter()
 
-    def rec(i: int, cmax: int, blocked: int, dead: int) -> None:
+    def span(edges: int) -> int:
+        # the placements through an edge of the edge mask
+        out = 0
+        while edges:
+            b = edges & -edges
+            out |= through[b.bit_length() - 1]
+            edges ^= b
+        return out
+
+    def rec(i: int, cmax: int, blocked: int, alive: int, tb: int) -> None:
         # a frame colors edge i with cmax colors open.  blocked: bit mask of
-        # the blocked edges (bits below i are stale); dead: the placements
-        # whose colored edges repeat a color
-        nonlocal best, best_colors, nodes, budget_hit
+        # the blocked edges (bits below i are stale); alive: the placements
+        # whose colored edges carry distinct colors; tb: the placements
+        # through a blocked edge that is not colored yet
+        nonlocal best, best_colors, nodes, budget_hit, report, mark
         if i == m:  # reached only when cmax > best
             best = cmax
             best_colors = color.copy()
@@ -213,27 +243,24 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
         # the slack only when 2 * slack <= free
         slack = cmax + free - best
         if 2 * slack <= free:
-            # candidates: placements not dead and with no blocked uncolored
-            # edge.  One left with a single uncolored edge and a rainbow rest
-            # blocks that edge, and a fully colored one repeats a color (a
-            # rainbow copy is never kept), so each has two or more uncolored
-            # edges.  Greedy in placement order: drop the placements through
-            # the blocked edges, then pick the first candidate and drop those
+            # candidates: live placements with no blocked uncolored edge.  One
+            # left with a single uncolored edge and a rainbow rest blocks that
+            # edge, and a fully colored one repeats a color (a rainbow copy is
+            # never kept), so each has two or more uncolored edges.  Greedy in
+            # placement order: pick the first candidate and drop those
             # through its uncolored edges, until the slack is packed
             high = -1 << i  # the uncolored edges
-            cand = wide & ~dead
-            rest = blocked & high
-            while True:
-                while rest:  # drop the placements through these edges
-                    b = rest & -rest
-                    cand &= missing[b]
-                    rest ^= b
-                if not cand:
-                    break
+            cand = wide & alive
+            cand ^= cand & tb
+            while cand:
                 slack -= 1  # the first candidate is packed
                 if not slack:
                     return
-                rest = masks[(cand & -cand).bit_length() - 1] & high
+                edges = masks[(cand & -cand).bit_length() - 1] & high
+                drop = spans.get(edges)
+                if drop is None:
+                    drop = spans[edges] = span(edges)
+                cand ^= cand & drop
         # the placements that coloring edge i completes: each has a rainbow
         # rest, and a color outside the rest's colors makes it a rainbow copy.
         # closing is nonzero exactly when edge i is blocked.  A placement
@@ -243,9 +270,17 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
         # was colored.  A one-edge placement always closes, so such a
         # pattern never opens a color.  A blocked edge only reuses a color
         # and is not counted in free
-        closing = last[i] & ~dead
-        own = 0 if closing else 1
-        cs = (reuses if closing else orders)[cmax]
+        closing = last[i] & alive
+        if closing:
+            own = 0
+            cs = reuses[cmax]
+            # coloring edge i frees the placements through it, unless another
+            # blocked edge holds them: rebuild tb from the edges above i
+            tb = span(blocked & (-2 << i))
+        else:
+            own = 1
+            cs = orders[cmax]
+        thr = through[i]
         for c in cs:
             if c == cmax:  # fresh color; if its bound fails, so does reuse
                 if cmax + free <= best:
@@ -255,30 +290,34 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
                 if cmax + free - own <= best:
                     return
                 nxt = cmax
-            if nodes == limit:
-                budget_hit = True
-                return
+            if nodes == mark:
+                if nodes == limit:
+                    budget_hit = True
+                    return
+                on_progress(nodes + 1, best)
+                report += PROGRESS_INTERVAL
+                mark = report if limit < 0 else min(limit, report)
             nodes += 1
-            if on_progress is not None and nodes % PROGRESS_INTERVAL == 0:
-                on_progress(nodes, best)
             was = tinted[c]
-            if closing & ~was:
+            if closing & was != closing:
                 continue  # rainbow copy completed: prune
             color[i] = c
             # placements through edge i with another edge of color c die;
             # each placement now left with one uncolored edge e and a
             # rainbow rest blocks e
-            kill = dead | (was & through[i])
+            kid = alive ^ (alive & was & thr)
             blk = blocked
-            for e, group in near[i]:
-                if group & ~kill:
-                    blk |= 1 << e
+            kid_tb = tb
+            for bit, group, through_e in near[i]:
+                if group & kid:
+                    blk |= bit
+                    kid_tb |= through_e
             if nxt + m - i - 1 - (blk >> i + 1).bit_count() > best:
-                tinted[c] = was | through[i]
-                rec(i + 1, nxt, blk, kill)
+                tinted[c] = was | thr
+                rec(i + 1, nxt, blk, kid, kid_tb)
                 tinted[c] = was
 
-    rec(0, 0, 0, 0)
+    rec(0, 0, 0, (1 << len(masks)) - 1, 0)
     elapsed = time.perf_counter() - start
     conclusive = not budget_hit
     witness = None if best_colors is None else EdgeColoring(n, tuple(best_colors))

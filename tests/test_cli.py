@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from antiramsey import build_pattern, parse_coloring, serialize_coloring
+from antiramsey import build_pattern, oracle, parse_coloring, serialize_coloring
 from antiramsey.cli import main
 from antiramsey.graphs import Path
 from antiramsey.oracle import RangeReport
@@ -185,6 +185,22 @@ class TestOracle:
     def test_meta_field_present_without_flag(self, capsys):
         js = run_json(capsys, "oracle", "--family", "C3", "--n", "4")
         assert "elapsed" in js
+
+    def test_progress_is_json_lines_on_stderr(self, capsys, monkeypatch):
+        # C3 on K6 takes 375 nodes: three reports, then the final count
+        argv = ("oracle", "--family", "C3", "--n", "6", "--no-meta")
+        _code, quiet, _err = run(capsys, *argv)
+        monkeypatch.setattr(oracle, "PROGRESS_INTERVAL", 100)
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out == quiet
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert [line["nodes"] for line in lines] == [100, 200, 300, 375]
+        assert lines[-1]["best"] == 5
+        for line in lines:
+            assert sorted(line) == ["best", "nodes", "nodes_per_s"]
+            assert isinstance(line["nodes_per_s"], int)
+            assert line["nodes_per_s"] >= 0
 
 
 class TestVerify:

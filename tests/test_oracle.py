@@ -134,6 +134,21 @@ class TestWitness:
         assert find_rainbow(r.witness, spec) is None
         assert r.witness.num_colors == ar - 1
 
+    @pytest.mark.parametrize("spec,nodes,witness", [
+        (Cycle(3), 5_822, "012345000001111222334"),
+        (Path(3), 1_097, "010000000000000000000"),
+        (Path(4), 4_181, "012345666666666666666"),
+        (Matching(2), 983, "000000000000000000000"),
+        (Union(TriplePath(1), Matching(1)), 4_561, "010000000000000000000"),
+    ])
+    def test_node_count_and_witness_pinned_at_n7(self, spec, nodes, witness):
+        # each pattern blocks edges in its own shape, so these pin where the
+        # packing candidates are rebuilt as well as the order and the bounds
+        r = max_rainbow_free(7, spec)
+        assert r.conclusive
+        assert r.nodes_explored == nodes
+        assert r.witness.colors == tuple(int(ch) for ch in witness)
+
     def test_c4_at_n7_equals_closed_form(self):
         # the value pinned above for C4 is the cycle formula's
         assert ar_cycle(7, 4).exact == 9
