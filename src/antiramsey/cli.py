@@ -40,6 +40,7 @@ from .constructions import clique_coloring, cover_coloring
 from .formulas import UnrecognizedFamilyError, ar_family
 from .graphs import PatternSpec, family_name, parse_family, parse_graph
 from .oracle import (
+    DEFAULT_BUDGET_N7,
     HARD_CEILING,
     _check_budget,
     max_rainbow_free,
@@ -214,10 +215,13 @@ def main(argv=None) -> int:
     src.add_argument("--graph", help="edge-list file")
     p.set_defaults(func=_cmd_rainbow)
 
+    budget_help = (f"search node budget per host (default: unlimited below "
+                   f"n={HARD_CEILING}, {DEFAULT_BUDGET_N7:,} at n={HARD_CEILING})")
+
     p = sub.add_parser("oracle", help="exact anti-Ramsey value by exhaustive search")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, help="node budget (default: unlimited, capped host)")
+    p.add_argument("--budget", type=int, help=budget_help)
     p.add_argument("--no-meta", action="store_true",
                    help="drop the timing field for byte-stable output")
     p.set_defaults(func=_cmd_oracle)
@@ -226,7 +230,7 @@ def main(argv=None) -> int:
     p.add_argument("--family", required=True)
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, help=budget_help)
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

@@ -23,20 +23,28 @@ automatically surjective.  Depth-first branch and bound:
 
 Every piece of search state is a set of placements.  All placements of the
 pattern are enumerated and numbered once, and a set of them is a bit mask
-over those numbers.  A frame carries five things: the edge i it colors, the
+over those numbers.  A frame carries six things: the edge i it colors, the
 number of colors open, the bit mask of blocked edges, the placements whose
-colored edges carry distinct colors (``alive``), and the placements through
-a blocked uncolored edge (``tb``); each color id keeps the placements
-holding it (``tinted``).  The count of unblocked uncolored edges is derived
-from the mask.  The rainbow check is one mask test: coloring edge i with c
-completes a rainbow copy exactly when some live placement has largest rank
-i (it *closes* on i) and holds no edge of color c.  Blocking is tracked
+colored edges carry distinct colors (``alive``), the placements through a
+blocked uncolored edge (``tb``) and the count of unblocked uncolored edges
+(``free``); each color id keeps the placements holding it (``tinted``).
+The rainbow check is one mask test: coloring edge i with c completes a
+rainbow copy exactly when some live placement has largest rank i (it
+*closes* on i) and holds no edge of color c.  Blocking is tracked
 incrementally: coloring edge i leaves the placements whose second-largest
 rank is i with one uncolored edge e, and e becomes blocked when one of them
 is alive in the child.  So edge i is blocked exactly when some placement
 closes on it, and that decides whether a fresh color is tried; a one-edge
 placement closes on its edge from the start, so a one-edge pattern never
 opens a color.
+
+Which edges a color try blocks depends only on the child's live placements
+among those whose second-largest rank is i (``reach[i]``), and those sets
+repeat: C4 at n = 7 looks up 2,711 distinct ones 43,803 times.  Each call
+therefore keeps one memo per depth, from that set to the edges it blocks.
+A memo holds at most ``_MEMO_CAP`` entries, and a miss on a full one
+empties it first, so the tables' memory is bounded whatever the search
+does.
 
 The packing bound tightens the blocked-edge bound by one for each placement
 in a greedy packing (the "disjoint inconsistent subsets" bound of Max-SAT
@@ -52,6 +60,8 @@ uncolored edges, so with slack = (colors open) + (unblocked uncolored
 edges) - (incumbent) the scan runs only where 2 * slack <= (unblocked
 uncolored edges), and stops once the packing reaches the slack.  Its
 candidates are the live placements with two or more edges, less ``tb``.
+Both bounds run in the parent, at the color try, before a child frame
+opens: a child they cut costs one counted node and no call.
 
 ``tb`` is handed down, not rebuilt at each scan.  A child's blocked edges
 are its parent's uncolored blocked edges plus those the parent's coloring
@@ -61,9 +71,11 @@ itself blocked does the frame rebuild ``tb`` from the blocked edges above i
 before its children: coloring i frees the placements through it, except
 those that another blocked edge holds, and only the mask tells which.
 After a placement is packed the scan drops every candidate sharing one of
-its uncolored edges, the union of ``through`` over them.  That union
-depends only on the uncolored edge set, so each call caches it by that
-edge mask, and a cached union is exact.
+its uncolored edges, the union of ``through`` over them.  Each of these
+unions - over a packed placement's uncolored edges, over the edges a color
+try blocks, over the blocked edges above a closing edge - depends only on
+its edge mask, so each call caches them by that mask (``spans``), and a
+cached union is exact.
 
 Host-vertex symmetry pruning is not attempted here (a known optimization
 hook).
@@ -115,9 +127,9 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
     * ``through[e]``: the placements through edge e;
     * ``last[e]``: the placements whose largest rank is e.  When edge e is
       next to color every other edge of these is colored;
-    * ``near[i]``: ``(1 << e, set, through[e])`` triples, the placements
-      whose second-largest rank is i grouped by their largest rank e.  Once
-      edge i is colored each has one uncolored edge left, e;
+    * ``near[i]``: ``(1 << e, set)`` pairs, the placements whose
+      second-largest rank is i grouped by their largest rank e.  Once edge
+      i is colored each has one uncolored edge left, e;
     * ``wide``: the placements with two or more edges, the packing's
       candidates.
 
@@ -153,12 +165,14 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
             group = groups[ranks[-2]]
             group[ranks[-1]] = group.get(ranks[-1], 0) | bit
             wide |= bit
-    near = [[(1 << e, group, through[e]) for e, group in gs.items()]
-            for gs in groups]
+    near = [[(1 << e, group) for e, group in gs.items()] for gs in groups]
     return masks, through, last, near, wide
 
 
 PROGRESS_INTERVAL = 1_000_000
+# entries per depth in the blocking memo of max_rainbow_free; a miss empties
+# a full table
+_MEMO_CAP = 4096
 
 
 def _check_budget(node_budget: int | None) -> None:
@@ -197,8 +211,18 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
 
     m = n * (n - 1) // 2
     masks, through, last, near, wide = _placement_index(n, g)
-    # keyed by an edge mask: the union of through over its edges, for the
-    # uncolored edges of the placements the packing scan packs
+    # per edge i: the union of the near[i] sets, the part of a child's live
+    # placements that decides which edges coloring i blocks
+    reach = [0] * m
+    for i, groups in enumerate(near):
+        for _, group in groups:
+            reach[i] |= group
+    # per depth i: a child's live placements within reach[i] -> the edges
+    # that coloring i blocks in it; a miss empties a full table
+    blocks: list[dict[int, int]] = [{} for _ in range(m)]
+    # keyed by an edge mask: the union of through over its edges.  Read for
+    # the edges a coloring blocks, for the blocked edges above a closing
+    # edge and for the uncolored edges of each placement the packing packs
     spans: dict[int, int] = {}
     # per color id: the placements with a colored edge of that color
     tinted = [0] * (m + 1)
@@ -227,40 +251,19 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
             edges ^= b
         return out
 
-    def rec(i: int, cmax: int, blocked: int, alive: int, tb: int) -> None:
+    def rec(i: int, cmax: int, blocked: int, alive: int, tb: int,
+            free: int) -> None:
         # a frame colors edge i with cmax colors open.  blocked: bit mask of
         # the blocked edges (bits below i are stale); alive: the placements
         # whose colored edges carry distinct colors; tb: the placements
-        # through a blocked edge that is not colored yet
+        # through a blocked edge that is not colored yet; free: the count of
+        # unblocked uncolored edges.  The caller has run both bounds, the
+        # packing one included, so the frame only tries colors
         nonlocal best, best_colors, nodes, budget_hit, report, mark
         if i == m:  # reached only when cmax > best
             best = cmax
             best_colors = color.copy()
             return
-        free = m - i - (blocked >> i).bit_count()  # unblocked uncolored edges
-        # packing bound: each placement packed costs one fresh color, and
-        # each uses two unblocked uncolored edges, so a packing can close
-        # the slack only when 2 * slack <= free
-        slack = cmax + free - best
-        if 2 * slack <= free:
-            # candidates: live placements with no blocked uncolored edge.  One
-            # left with a single uncolored edge and a rainbow rest blocks that
-            # edge, and a fully colored one repeats a color (a rainbow copy is
-            # never kept), so each has two or more uncolored edges.  Greedy in
-            # placement order: pick the first candidate and drop those
-            # through its uncolored edges, until the slack is packed
-            high = -1 << i  # the uncolored edges
-            cand = wide & alive
-            cand ^= cand & tb
-            while cand:
-                slack -= 1  # the first candidate is packed
-                if not slack:
-                    return
-                edges = masks[(cand & -cand).bit_length() - 1] & high
-                drop = spans.get(edges)
-                if drop is None:
-                    drop = spans[edges] = span(edges)
-                cand ^= cand & drop
         # the placements that coloring edge i completes: each has a rainbow
         # rest, and a color outside the rest's colors makes it a rainbow copy.
         # closing is nonzero exactly when edge i is blocked.  A placement
@@ -276,11 +279,19 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
             cs = reuses[cmax]
             # coloring edge i frees the placements through it, unless another
             # blocked edge holds them: rebuild tb from the edges above i
-            tb = span(blocked & (-2 << i))
+            above = blocked & (-2 << i)
+            tb = spans.get(above)
+            if tb is None:
+                tb = spans[above] = span(above)
         else:
             own = 1
             cs = orders[cmax]
         thr = through[i]
+        near_i = near[i]
+        reach_i = reach[i]
+        memo = blocks[i]
+        high = -2 << i  # the child's uncolored edges
+        rest = m - i - 1
         for c in cs:
             if c == cmax:  # fresh color; if its bound fails, so does reuse
                 if cmax + free <= best:
@@ -301,23 +312,61 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
             was = tinted[c]
             if closing & was != closing:
                 continue  # rainbow copy completed: prune
-            color[i] = c
             # placements through edge i with another edge of color c die;
             # each placement now left with one uncolored edge e and a
-            # rainbow rest blocks e
+            # rainbow rest blocks e.  Which edges those are depends only on
+            # the child's live placements within reach[i]: memoized on them
             kid = alive ^ (alive & was & thr)
-            blk = blocked
-            kid_tb = tb
-            for bit, group, through_e in near[i]:
-                if group & kid:
-                    blk |= bit
-                    kid_tb |= through_e
-            if nxt + m - i - 1 - (blk >> i + 1).bit_count() > best:
-                tinted[c] = was | thr
-                rec(i + 1, nxt, blk, kid, kid_tb)
-                tinted[c] = was
+            key = kid & reach_i
+            newly = memo.get(key)
+            if newly is None:
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                newly = 0
+                for bit, group in near_i:
+                    if group & key:
+                        newly |= bit
+                memo[key] = newly
+                if newly not in spans:
+                    spans[newly] = span(newly)
+            blk = blocked | newly
+            kid_free = rest - (blk & high).bit_count()
+            slack = nxt + kid_free - best
+            if slack <= 0:
+                continue
+            kid_tb = tb | spans[newly]
+            # packing bound: each placement packed costs one fresh color, and
+            # each uses two unblocked uncolored edges, so a packing can close
+            # the slack only when 2 * slack <= kid_free.  Candidates: the
+            # child's live placements with no blocked uncolored edge.  One
+            # left with a single uncolored edge and a rainbow rest blocks
+            # that edge, and a fully colored one repeats a color (a rainbow
+            # copy is never kept), so each has two or more uncolored edges.
+            # Greedy in placement order: pack the first candidate and drop
+            # those through its uncolored edges, until the slack is packed
+            if 2 * slack <= kid_free:
+                cand = wide & kid
+                cand ^= cand & kid_tb
+                while cand:
+                    slack -= 1  # the first candidate is packed
+                    if not slack:
+                        break
+                    edges = masks[(cand & -cand).bit_length() - 1] & high
+                    drop = spans.get(edges)
+                    if drop is None:
+                        drop = spans[edges] = span(edges)
+                    cand ^= cand & drop
+                if not slack:
+                    continue
+            color[i] = c
+            tinted[c] = was | thr
+            rec(i + 1, nxt, blk, kid, kid_tb, kid_free)
+            tinted[c] = was
 
-    rec(0, 0, 0, (1 << len(masks)) - 1, 0)
+    rec(0, 0, 0, (1 << len(masks)) - 1, 0, m)
+    # rec reaches itself through its closure cell; break that cycle so the
+    # per-call tables go when this call returns, not at the next collection
+    del rec
     elapsed = time.perf_counter() - start
     conclusive = not budget_hit
     witness = None if best_colors is None else EdgeColoring(n, tuple(best_colors))

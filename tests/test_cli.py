@@ -172,6 +172,17 @@ class TestOracle:
         assert out == ""
         assert "budget" in err
 
+    @pytest.mark.parametrize("command", ["oracle", "verify"])
+    def test_budget_help_names_the_default(self, capsys, command):
+        # at the ceiling the default budget applies, not "unlimited"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert (f"--budget BUDGET search node budget per host (default: "
+                f"unlimited below n={oracle.HARD_CEILING}, "
+                f"{oracle.DEFAULT_BUDGET_N7:,} at n={oracle.HARD_CEILING})") in text
+
     def test_infeasible_host_exits_two(self, capsys):
         code, _out, err = run(capsys, "oracle", "--family", "C3", "--n", "9")
         assert code == 2

@@ -1,5 +1,6 @@
 """Exhaustive color-maximization search: values, witnesses, consistency."""
 
+import gc
 import hashlib
 from functools import cache
 
@@ -158,6 +159,33 @@ class TestWitness:
         b = max_rainbow_free(5, Path(3))
         assert a.witness == b.witness
         assert a.nodes_explored == b.nodes_explored
+
+
+class TestWitnessWithOneEntryMemo(TestWitness):
+    """Every pin of TestWitness again, with the blocking memo capped at one
+    entry: each miss empties its table, and the search must not notice."""
+
+    @pytest.fixture(autouse=True)
+    def one_entry_memo(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MEMO_CAP", 1)
+
+
+class TestPerCallState:
+    @pytest.mark.parametrize("n,spec", [
+        (7, Cycle(4)), (7, TriplePath(2)), (6, Cycle(5)),
+        (6, Union(Cycle(3), Matching(1))),
+    ])
+    def test_no_reference_cycle_left(self, n, spec):
+        # the search closure reaches itself through its own cell; left in
+        # place, that cycle keeps every per-call table alive until the next
+        # full collection
+        gc.collect()
+        gc.disable()
+        try:
+            max_rainbow_free(n, spec, node_budget=250_000)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @cache
