@@ -77,8 +77,34 @@ try blocks, over the blocked edges above a closing edge - depends only on
 its edge mask, so each call caches them by that mask (``spans``), and a
 cached union is exact.
 
-Host-vertex symmetry pruning is not attempted here (a known optimization
-hook).
+Host-vertex symmetry is broken on vertex 0's star, the edges (0, 1) ..
+(0, n - 1), which come first in the edge order (a lex-leader constraint in
+the sense of Crawford, Ginsberg, Luks and Roy, KR 1996).  The star's colors
+must be in canonical form: a run of fresh ids, then reused ids in
+nondecreasing order, with star class sizes nonincreasing.  So a fresh id is
+tried at a star edge only while no star edge has reused a color, and a reuse
+of c only when c is at least the last reused star id and c's star class,
+with this edge, stays no larger than that of c - 1 (``_star_tries``).  A
+star edge therefore tries at most {fresh, 0} before the first reuse and at
+most {r, r + 1} after it, r the previous star edge's color; an id the rule
+skips is not tried and not counted as a node.  Edges past the star are
+searched as before.
+
+The rule leaves the maximum and the witness unchanged:
+
+* the search visits complete restricted-growth colorings in lexicographic
+  order under the key "fresh < 0 < 1 < ...", and the reported witness L*
+  is the first coloring attaining the maximum in that order.  Relabeling
+  the host's vertices (and renaming colors back into normal form) maps
+  optimal colorings to optimal ones, so L* is the least of its orbit;
+* the relabelings that fix vertex 0 permute the star edges among
+  themselves, and the least arrangement of a star's colors in that order
+  is exactly the canonical form above (``TestStarRule`` checks this on
+  every star of up to 6 edges).  So L*'s star is canonical and every
+  ancestor of L* passes the rule;
+* before L* the incumbent is below the maximum, so no bound cuts L*'s path
+  either.  The rule only removes colorings that come after a relabeled
+  copy of themselves.
 
 The reported witness is the first incumbent attaining the final maximum in
 the fixed search order: pruning only cuts subtrees whose bound cannot beat
@@ -86,7 +112,7 @@ the incumbent, and the incumbent changes only on a strict improvement, so a
 tighter sound bound leaves the witness unchanged.  n <= 6 always completes.
 n = 7 runs under a default node budget and falls back to an explicit
 inconclusive result; C3, C4, C5, 3P2, 2P3, P4, P5 and C3+P2 all finish
-within it, C3+P2 the largest at 188,068 nodes.
+within it, C3+P2 the largest at 69,552 nodes.
 """
 
 from __future__ import annotations
@@ -169,6 +195,24 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
     return masks, through, last, near, wide
 
 
+def _star_tries(star: list[int]) -> tuple[int, ...]:
+    """The color ids that keep vertex 0's star canonical at its next edge.
+
+    ``star`` holds the colors of the star edges (0, 1), (0, 2), ... colored
+    so far, in restricted-growth form.  A canonical star is a run of fresh
+    ids, then reused ids in nondecreasing order with star class sizes
+    nonincreasing: a fresh id is allowed only while no star edge has
+    reused a color, and a reuse of c only when c is at least the last
+    reused id and c's class stays no larger than c - 1's.  Returned in
+    search order, the fresh id first.
+    """
+    if not star or star[-1] == len(star) - 1:  # every star edge opened a color
+        return (len(star), 0) if star else (0,)
+    r = star[-1]
+    tries = (r,) if not r or star.count(r) < star.count(r - 1) else ()
+    return tries + (r + 1,) if r < max(star) else tries
+
+
 PROGRESS_INTERVAL = 1_000_000
 # entries per depth in the blocking memo of max_rainbow_free; a miss empties
 # a full table
@@ -236,6 +280,7 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
     report = -1 if on_progress is None else PROGRESS_INTERVAL - 1
     mark = limit if report < 0 else report if limit < 0 else min(limit, report)
     color = [0] * m
+    star = n - 1  # edges 0 .. n - 2 are (0, 1) .. (0, n - 1)
     best = 0
     best_colors: list[int] | None = None
     nodes = 0
@@ -286,18 +331,23 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
         else:
             own = 1
             cs = orders[cmax]
+        # edge (0, i + 1) of vertex 0's star takes only the ids that keep
+        # the star canonical, and a closing one still no fresh id
+        if i < star:
+            cs = [c for c in _star_tries(color[:i]) if c < cmax + own]
         thr = through[i]
         near_i = near[i]
         reach_i = reach[i]
         memo = blocks[i]
         high = -2 << i  # the child's uncolored edges
         rest = m - i - 1
+        nxt = -1
         for c in cs:
             if c == cmax:  # fresh color; if its bound fails, so does reuse
                 if cmax + free <= best:
                     return
                 nxt = cmax + 1
-            elif not c:  # first reused id, after the fresh subtree has run
+            elif nxt != cmax:  # first reused id, after the fresh subtree ran
                 if cmax + free - own <= best:
                     return
                 nxt = cmax

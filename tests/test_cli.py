@@ -198,7 +198,7 @@ class TestOracle:
         assert "elapsed" in js
 
     def test_progress_is_json_lines_on_stderr(self, capsys, monkeypatch):
-        # C3 on K6 takes 375 nodes: three reports, then the final count
+        # C3 on K6 takes 188 nodes: one report, then the final count
         argv = ("oracle", "--family", "C3", "--n", "6", "--no-meta")
         _code, quiet, _err = run(capsys, *argv)
         monkeypatch.setattr(oracle, "PROGRESS_INTERVAL", 100)
@@ -206,7 +206,7 @@ class TestOracle:
         assert code == 0
         assert out == quiet
         lines = [json.loads(line) for line in err.splitlines()]
-        assert [line["nodes"] for line in lines] == [100, 200, 300, 375]
+        assert [line["nodes"] for line in lines] == [100, 188]
         assert lines[-1]["best"] == 5
         for line in lines:
             assert sorted(line) == ["best", "nodes", "nodes_per_s"]
@@ -329,4 +329,4 @@ class TestOutputBytes:
             assert f'"status": "{status}"' in text, status
         assert '"found": true' in text and '"found": false' in text
         assert hashlib.sha256(text.encode()).hexdigest() \
-            == "97df59c66c462b5ba85d5d6410682948ea42dd7004c8a7a50ba579ecb9fd1d58"
+            == "2649b419ac549f01a84ba7ed58707d4eb39b72f07196f04520414d709c41e2ae"
