@@ -22,12 +22,15 @@ automatically surjective.  Depth-first branch and bound:
   incumbents appear early, which is what makes the bound bite.
 
 Every piece of search state is a set of placements.  All placements of the
-pattern are enumerated and numbered once, and a set of them is a bit mask
-over those numbers.  A frame carries six things: the edge i it colors, the
-number of colors open, the bit mask of blocked edges, the placements whose
-colored edges carry distinct colors (``alive``), the placements through a
-blocked uncolored edge (``tb``) and the count of unblocked uncolored edges
-(``free``); each color id keeps the placements holding it (``tinted``).
+pattern are enumerated and numbered once, component by component (each
+connected component's distinct copies on its own vertex count are found
+once, then carried onto disjoint vertex subsets of the host, so no edge set
+is built twice), and a set of them is a bit mask over those numbers.  A
+frame carries six things: the edge i it colors, the number of colors open,
+the bit mask of blocked edges, the placements whose colored edges carry
+distinct colors (``alive``), the placements through a blocked uncolored
+edge (``tb``) and the count of unblocked uncolored edges (``free``); each
+color id keeps the placements holding it (``tinted``).
 The rainbow check is one mask test: coloring edge i with c completes a
 rainbow copy exactly when some live placement has largest rank i (it
 *closes* on i) and holds no edge of color c.  Blocking is tracked
@@ -119,9 +122,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
-from .colorings import EdgeColoring, edge_index
+from .colorings import EdgeColoring, all_edges
 from .formulas import ar_family
 from .graphs import Graph, PatternSpec, build_pattern
 
@@ -163,26 +166,95 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
     rainbow, so it closes on that edge at every frame and the search never
     opens a color.
 
-    Distinct vertex maps giving the same edge set are deduplicated; only the
-    edge set matters for rainbow-ness.  Vertices of degree zero are ignored
-    (they never constrain a copy when the host is large enough, which the
-    caller checks).
+    Placements are built component by component; only the edge set of a
+    copy matters for rainbow-ness.  A connected component on c vertices has
+    local placements: the distinct edge sets of its copies on host vertices
+    0 .. c - 1, found once from its c! vertex maps.  Two components are
+    copies of each other exactly when their local placement sets are equal,
+    and such copies form one kind.  The k copies of a kind take blocks of c
+    unused host vertices in increasing order of smallest vertex: a block's
+    other vertices lie above its smallest one v, and at least c times the
+    copies still to come stay unused above v, so no choice is a dead end.
+    The increasing map j -> S[j] carries the local placements onto a block
+    S with their ranks still sorted, and a placement of g is one carried
+    local placement per block.  Each edge set arises once: its components
+    are connected and pairwise vertex-disjoint, so their vertex sets,
+    ordered by smallest vertex within each kind, are the blocks, and the
+    edges on a block fix the local placement.  The work therefore grows
+    with the number of placements, not with the n!/(n - v)! vertex maps.
+    Vertices of degree zero are ignored (they never constrain a copy
+    when the host is large enough, which the caller checks).
     """
-    pverts = [v for v in range(g.n) if any(v in e for e in g.edges)]
-    pos = {v: i for i, v in enumerate(pverts)}
-    pedges = [(pos[u], pos[v]) for u, v in g.edge_list]
-    rank = [[edge_index(n, u, v) if u != v else -1 for v in range(n)]
-            for u in range(n)]
-    placements = sorted({tuple(sorted([rank[image[a]][image[b]]
-                                       for a, b in pedges]))
-                         for image in permutations(range(n), len(pverts))})
     m = n * (n - 1) // 2
-    masks = [sum(1 << r for r in ranks) for ranks in placements]
+    rank = [[-1] * n for _ in range(n)]
+    pair_bit = [[0] * n for _ in range(n)]  # 1 << rank, 0 on the diagonal
+    for r, (u, v) in enumerate(all_edges(n)):
+        rank[u][v] = rank[v][u] = r
+        pair_bit[u][v] = pair_bit[v][u] = 1 << r
+    adj: dict[int, list[int]] = {}
+    for u, v in g.edge_list:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    # per kind of component, keyed by the edge masks of its local
+    # placements: its vertex count and its number of copies in g
+    kinds: dict[frozenset[int], list[int]] = {}
+    seen: set[int] = set()
+    for root in adj:
+        if root in seen:
+            continue
+        comp = [root]  # g's component of root, found breadth first
+        seen.add(root)
+        for u in comp:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        cedges = [(comp.index(u), comp.index(v)) for u, v in g.edge_list
+                  if u in comp]
+        key = frozenset(sum([pair_bit[p[a]][p[b]] for a, b in cedges])
+                        for p in permutations(range(len(comp))))
+        kinds.setdefault(key, [len(comp), 0])[1] += 1
+    # placements kind by kind, each with the vertices it leaves unused and
+    # the smallest vertex of its last block.  A kind's copies take their
+    # blocks in increasing order of smallest vertex, each leaving room for
+    # the rest above its own
+    placements = [((), 0, tuple(range(n)), -1)]
+    for key, (c, k) in kinds.items():
+        # per block s: the local placements carried onto it by j -> s[j],
+        # an increasing map, so their ranks stay sorted; on the block
+        # 0 .. c - 1 the map is the identity
+        local = [(_ranks(mask), mask) for mask in key]
+        carried = {tuple(range(c)): local}
+        for s in combinations(range(n), c):
+            if s not in carried:
+                image = {rank[a][b]: (rank[s[a]][s[b]], pair_bit[s[a]][s[b]])
+                         for a, b in combinations(range(c), 2)}
+                carried[s] = [(tuple([image[r][0] for r in ranks]),
+                               sum([image[r][1] for r in ranks]))
+                              for ranks, _ in local]
+        if len(kinds) == k == 1:  # one component: these are g's placements
+            placements = [placement for part in carried.values()
+                          for placement in part]
+            break
+        for j in range(k, 0, -1):  # j copies of this kind still to place
+            placements = [
+                (tuple(sorted(ranks + part)) if ranks else part,
+                 mask + part_mask, rest, v)
+                for ranks, mask, left, low in placements
+                for i, v in enumerate(left)
+                if i <= len(left) - j * c and (j == k or v > low)
+                for more in combinations(left[i + 1:], c - 1)
+                for rest in [left[:i] + tuple([x for x in left[i + 1:]
+                                               if x not in more])]
+                for part, part_mask in carried[(v, *more)]]
+    placements.sort()
+    masks = [placement[1] for placement in placements]
     through = [0] * m
     last = [0] * m
     groups: list[dict[int, int]] = [{} for _ in range(m)]
     wide = 0
-    for p, ranks in enumerate(placements):
+    for p, placement in enumerate(placements):
+        ranks = placement[0]
         bit = 1 << p
         for r in ranks:
             through[r] |= bit
@@ -193,6 +265,16 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
             wide |= bit
     near = [[(1 << e, group) for e, group in gs.items()] for gs in groups]
     return masks, through, last, near, wide
+
+
+def _ranks(mask: int) -> tuple[int, ...]:
+    """The set bits of an edge mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _star_tries(star: list[int]) -> tuple[int, ...]:

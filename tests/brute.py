@@ -16,6 +16,7 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from antiramsey import EdgeColoring, Graph
+from antiramsey.colorings import edge_index
 from antiramsey.rainbow import _build_plan
 
 
@@ -36,6 +37,40 @@ def naive_has_rainbow(coloring: EdgeColoring, g: Graph) -> bool:
         if ok:
             return True
     return False
+
+
+def placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
+                                                list[int], list, int]:
+    """The oracle's placement index, built from every injective vertex map.
+
+    Maps g's non-isolated vertices into K_n in every way, dedups the edge
+    sets they give, numbers them by sorted edge-rank tuple and returns
+    ``(masks, through, last, near, wide)`` as ``oracle._placement_index``
+    defines them.
+    """
+    pverts = [v for v in range(g.n) if any(v in e for e in g.edges)]
+    pos = {v: i for i, v in enumerate(pverts)}
+    pedges = [(pos[u], pos[v]) for u, v in g.edge_list]
+    placements = sorted({tuple(sorted(edge_index(n, image[a], image[b])
+                                      for a, b in pedges))
+                         for image in permutations(range(n), len(pverts))})
+    m = n * (n - 1) // 2
+    masks = [sum(1 << r for r in ranks) for ranks in placements]
+    through = [0] * m
+    last = [0] * m
+    groups: list[dict[int, int]] = [{} for _ in range(m)]
+    wide = 0
+    for p, ranks in enumerate(placements):
+        bit = 1 << p
+        for r in ranks:
+            through[r] |= bit
+        last[ranks[-1]] |= bit
+        if len(ranks) > 1:
+            group = groups[ranks[-2]]
+            group[ranks[-1]] = group.get(ranks[-1], 0) | bit
+            wide |= bit
+    near = [[(1 << e, group) for e, group in gs.items()] for gs in groups]
+    return masks, through, last, near, wide
 
 
 def first_rainbow(coloring: EdgeColoring, g: Graph) -> tuple[int, ...] | None:

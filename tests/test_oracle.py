@@ -2,8 +2,10 @@
 
 import gc
 import hashlib
+import random
 from functools import cache
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -26,7 +28,7 @@ from antiramsey import (
 )
 from antiramsey.cli import _plain
 
-from brute import iso_classes, naive_has_rainbow, rg_strings
+from brute import iso_classes, naive_has_rainbow, placement_index, rg_strings
 
 
 class TestKnownValues:
@@ -299,6 +301,51 @@ class TestClassSweep:
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.WITNESSES
         assert sum(nodes) == 200_330
         assert hashlib.sha256(repr(nodes).encode()).hexdigest() == self.NODES
+
+
+class TestPlacementIndex:
+    # the component-by-component index against the injective vertex map walk
+    # of brute.placement_index.  iso_classes representatives are the first
+    # edge sets of their class in combinations order, so each pattern is
+    # also relabeled at random: identical components must be recognized by
+    # their placements, not by their labeled edge lists
+    GRID = TestClassSweep.GRID + ((7, 3),)
+
+    @pytest.mark.parametrize("v,max_edges", GRID)
+    def test_equals_map_walk_under_relabeling(self, v, max_edges):
+        rng = random.Random(v * 10 + max_edges)
+        for g in iso_classes(v, max_edges):
+            for _ in range(2):
+                perm = list(range(v))
+                rng.shuffle(perm)
+                h = Graph(v, [(perm[a], perm[b]) for a, b in g.edge_list])
+                for n in range(v, 8):
+                    assert oracle._placement_index(n, h) \
+                        == placement_index(n, h), (h, n)
+
+    def test_two_p3_with_different_labels(self):
+        # the two P3s have different labeled edge lists; counted as two
+        # kinds of component they would give 1,260 placements
+        g = Graph(6, [(0, 1), (1, 2), (3, 4), (3, 5)])
+        assert len(oracle._placement_index(7, g)[0]) == 630
+
+    @pytest.mark.parametrize("family", ["2P3", "3P2", "C3+1P2", "C4"])
+    def test_equals_map_walk_at_n8(self, family):
+        g = build_pattern(parse_family(family))
+        assert oracle._placement_index(8, g) == placement_index(8, g)
+
+    # n! / ((n - v)! |Aut G|) placements, past the ceiling: C3+P2 on K9 is
+    # settled in CI, and 4P2+P3 on K11 would take the map walk 11! maps
+    @pytest.mark.parametrize("family,n,automorphisms,count", [
+        ("2P3", 9, 8, 7_560),
+        ("3P2", 9, 48, 1_260),
+        ("C3+1P2", 9, 12, 1_260),
+        ("4P2+1P3", 11, 768, 51_975),
+    ])
+    def test_count_beyond_ceiling(self, family, n, automorphisms, count):
+        g = build_pattern(parse_family(family))
+        assert factorial(n) // factorial(n - g.n) // automorphisms == count
+        assert len(oracle._placement_index(n, g)[0]) == count
 
 
 class TestValidation:
