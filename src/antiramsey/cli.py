@@ -17,8 +17,9 @@ keyed by its field names, and a tuple a list.  Keys are sorted.
 Exit codes: 0 success, 1 usage or input error, 2 infeasible host or
 exhausted search budget (for verify: any row ``inconclusive`` or
 ``skipped-infeasible``, or no row ``ok``; ``skipped-small`` rows beside an
-``ok`` row pass), 3 (verify) a closed form flagged valid disagrees with the
-exhaustive search, ahead of 2.  A ``--budget`` below 1 exits 1 on any host,
+``ok`` row pass), 3 (verify) the exhaustive search breaks a closed form
+flagged valid - an exact value it disagrees with, or a lower or upper bound
+it falls outside - ahead of 2.  A ``--budget`` below 1 exits 1 on any host,
 one above the ceiling included.  A reversed range (``formula --grid 9..5``,
 ``verify --n-from 6 --n-to 3``) and a negative ``verify`` host
 (``--n-from -3``) are input errors and exit 1, and so is a ``construct``

@@ -26,11 +26,10 @@ pattern are enumerated and numbered once, component by component (each
 connected component's distinct copies on its own vertex count are found
 once, then carried onto disjoint vertex subsets of the host, so no edge set
 is built twice), and a set of them is a bit mask over those numbers.  A
-frame carries six things: the edge i it colors, the number of colors open,
-the bit mask of blocked edges, the placements whose colored edges carry
-distinct colors (``alive``), the placements through a blocked uncolored
-edge (``tb``) and the count of unblocked uncolored edges (``free``); each
-color id keeps the placements holding it (``tinted``).
+frame carries four things: the edge i it colors, the number of colors open,
+the bit mask of blocked edges and the placements whose colored edges carry
+distinct colors (``alive``); each color id keeps the placements holding it
+(``tinted``).
 The rainbow check is one mask test: coloring edge i with c completes a
 rainbow copy exactly when some live placement has largest rank i (it
 *closes* on i) and holds no edge of color c.  Blocking is tracked
@@ -62,23 +61,23 @@ size) cannot beat the incumbent.  Each packed placement uses two unblocked
 uncolored edges, so with slack = (colors open) + (unblocked uncolored
 edges) - (incumbent) the scan runs only where 2 * slack <= (unblocked
 uncolored edges), and stops once the packing reaches the slack.  Its
-candidates are the live placements with two or more edges, less ``tb``.
+candidates are the live placements with two or more edges, less those
+through a blocked uncolored edge.
 Both bounds run in the parent, at the color try, before a child frame
 opens: a child they cut costs one counted node and no call.
 
-``tb`` is handed down, not rebuilt at each scan.  A child's blocked edges
-are its parent's uncolored blocked edges plus those the parent's coloring
-blocks, less edge i itself, so a child's ``tb`` is its parent's joined with
-the placements through each newly blocked edge.  Only where edge i is
-itself blocked does the frame rebuild ``tb`` from the blocked edges above i
-before its children: coloring i frees the placements through it, except
-those that another blocked edge holds, and only the mask tells which.
+Both counts are derived from the blocked-edge mask, not handed down.  The
+unblocked uncolored edges at edge i are m - i less the blocked bits at i
+and above, the same count the parent found for its own bound.  The
+placements through a blocked uncolored edge are the union of ``through``
+over the child's blocked edges above i: a child's blocked edges are its
+parent's uncolored blocked edges plus those the parent's coloring blocks,
+less edge i itself, and those newly blocked all lie above i.
 After a placement is packed the scan drops every candidate sharing one of
 its uncolored edges, the union of ``through`` over them.  Each of these
-unions - over a packed placement's uncolored edges, over the edges a color
-try blocks, over the blocked edges above a closing edge - depends only on
-its edge mask, so each call caches them by that mask (``spans``), and a
-cached union is exact.
+unions - over a packed placement's uncolored edges, over a child's blocked
+uncolored edges - depends only on its edge mask, so each call caches them
+by that mask (``spans``), and a cached union is exact.
 
 Host-vertex symmetry is broken on vertex 0's star, the edges (0, 1) ..
 (0, n - 1), which come first in the edge order (a lex-leader constraint in
@@ -114,8 +113,9 @@ the fixed search order: pruning only cuts subtrees whose bound cannot beat
 the incumbent, and the incumbent changes only on a strict improvement, so a
 tighter sound bound leaves the witness unchanged.  n <= 6 always completes.
 n = 7 runs under a default node budget and falls back to an explicit
-inconclusive result; C3, C4, C5, 3P2, 2P3, P4, P5 and C3+P2 all finish
-within it, C3+P2 the largest at 69,552 nodes.
+inconclusive result; C3-C6, P3-P7, 2P2, 3P2, 2P3, C3+P2, P3+P2, P3+2P2,
+P4+P2, C4+P2, P5+P2, C3+2P2 and P4+P3 all finish within it, C3+2P2 the
+largest at 388,124 nodes.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .colorings import EdgeColoring, all_edges
-from .formulas import ar_family
+from .formulas import ar_family, integer_bounds
 from .graphs import Graph, PatternSpec, build_pattern
 
 HARD_CEILING = 7
@@ -346,9 +346,9 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
     # per depth i: a child's live placements within reach[i] -> the edges
     # that coloring i blocks in it; a miss empties a full table
     blocks: list[dict[int, int]] = [{} for _ in range(m)]
-    # keyed by an edge mask: the union of through over its edges.  Read for
-    # the edges a coloring blocks, for the blocked edges above a closing
-    # edge and for the uncolored edges of each placement the packing packs
+    # keyed by an edge mask: the union of through over its edges, filled by
+    # span only.  Read for a child's blocked uncolored edges and for the
+    # uncolored edges of each placement the packing packs
     spans: dict[int, int] = {}
     # per color id: the placements with a colored edge of that color
     tinted = [0] * (m + 1)
@@ -370,27 +370,30 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
     start = time.perf_counter()
 
     def span(edges: int) -> int:
-        # the placements through an edge of the edge mask
-        out = 0
-        while edges:
-            b = edges & -edges
-            out |= through[b.bit_length() - 1]
-            edges ^= b
+        # the placements through an edge of the edge mask, cached by the mask
+        out = spans.get(edges)
+        if out is None:
+            out = 0
+            bits = edges
+            while bits:
+                b = bits & -bits
+                out |= through[b.bit_length() - 1]
+                bits ^= b
+            spans[edges] = out
         return out
 
-    def rec(i: int, cmax: int, blocked: int, alive: int, tb: int,
-            free: int) -> None:
+    def rec(i: int, cmax: int, blocked: int, alive: int) -> None:
         # a frame colors edge i with cmax colors open.  blocked: bit mask of
         # the blocked edges (bits below i are stale); alive: the placements
-        # whose colored edges carry distinct colors; tb: the placements
-        # through a blocked edge that is not colored yet; free: the count of
-        # unblocked uncolored edges.  The caller has run both bounds, the
-        # packing one included, so the frame only tries colors
+        # whose colored edges carry distinct colors.  The caller has run both
+        # bounds, the packing one included, so the frame only tries colors
         nonlocal best, best_colors, nodes, budget_hit, report, mark
         if i == m:  # reached only when cmax > best
             best = cmax
             best_colors = color.copy()
             return
+        # the unblocked uncolored edges; the caller's kid_free
+        free = m - i - (blocked >> i).bit_count()
         # the placements that coloring edge i completes: each has a rainbow
         # rest, and a color outside the rest's colors makes it a rainbow copy.
         # closing is nonzero exactly when edge i is blocked.  A placement
@@ -404,12 +407,6 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
         if closing:
             own = 0
             cs = reuses[cmax]
-            # coloring edge i frees the placements through it, unless another
-            # blocked edge holds them: rebuild tb from the edges above i
-            above = blocked & (-2 << i)
-            tb = spans.get(above)
-            if tb is None:
-                tb = spans[above] = span(above)
         else:
             own = 1
             cs = orders[cmax]
@@ -459,14 +456,11 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
                     if group & key:
                         newly |= bit
                 memo[key] = newly
-                if newly not in spans:
-                    spans[newly] = span(newly)
             blk = blocked | newly
             kid_free = rest - (blk & high).bit_count()
             slack = nxt + kid_free - best
             if slack <= 0:
                 continue
-            kid_tb = tb | spans[newly]
             # packing bound: each placement packed costs one fresh color, and
             # each uses two unblocked uncolored edges, so a packing can close
             # the slack only when 2 * slack <= kid_free.  Candidates: the
@@ -478,24 +472,21 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
             # those through its uncolored edges, until the slack is packed
             if 2 * slack <= kid_free:
                 cand = wide & kid
-                cand ^= cand & kid_tb
+                cand ^= cand & span(blk & high)
                 while cand:
                     slack -= 1  # the first candidate is packed
                     if not slack:
                         break
-                    edges = masks[(cand & -cand).bit_length() - 1] & high
-                    drop = spans.get(edges)
-                    if drop is None:
-                        drop = spans[edges] = span(edges)
-                    cand ^= cand & drop
+                    cand ^= cand & span(
+                        masks[(cand & -cand).bit_length() - 1] & high)
                 if not slack:
                     continue
             color[i] = c
             tinted[c] = was | thr
-            rec(i + 1, nxt, blk, kid, kid_tb, kid_free)
+            rec(i + 1, nxt, blk, kid)
             tinted[c] = was
 
-    rec(0, 0, 0, (1 << len(masks)) - 1, 0, m)
+    rec(0, 0, 0, (1 << len(masks)) - 1)
     # rec reaches itself through its closure cell; break that cycle so the
     # per-call tables go when this call returns, not at the next collection
     del rec
@@ -533,16 +524,20 @@ class RangeReport:
     n_from: int
     n_to: int
     rows: tuple[RangeRow, ...]
-    mismatches: tuple[int, ...]  # n where a valid formula disagreed (must be empty)
+    # n where the oracle broke a bound flagged valid: the exact value, or
+    # the ceiling of the lower or the floor of the upper (must be empty)
+    mismatches: tuple[int, ...]
 
 
 def verify_range(spec: PatternSpec, n_from: int, n_to: int,
                  node_budget: int | None = None) -> RangeReport:
     """Compare the oracle against the closed form for each n in the range.
 
-    Any n where the formula claims validity but disagrees with the oracle is
+    Any n where the oracle breaks a bound the formula flags valid is
     flagged in ``mismatches`` (the library's core soundness check: this list
-    must stay empty).  Values outside validity windows are recorded as data.
+    must stay empty): an exact value it disagrees with, a lower bound whose
+    ceiling it is below, or an upper bound whose floor it is above.  Values
+    outside validity windows are recorded as data.
     Hosts beyond the feasibility ceiling are reported as skipped.  A
     reversed range (``n_from > n_to``) and a negative host (``n_from < 0``)
     are input errors, not an empty pass.
@@ -564,11 +559,15 @@ def verify_range(spec: PatternSpec, n_from: int, n_to: int,
             continue
         formula_exact = None
         formula_valid = None
+        lo = hi = None  # the integer bounds flagged valid
         try:
             rep = ar_family(n, spec)
             formula_exact = rep.exact
             if rep.exact is not None:
                 formula_valid = bool(rep.valid.get("exact", False))
+            lo, hi = integer_bounds(rep)
+            lo = lo if rep.valid.get("lower") else None
+            hi = hi if rep.valid.get("upper") else None
         except ValueError:
             pass
         result = max_rainbow_free(n, spec, node_budget)
@@ -576,11 +575,10 @@ def verify_range(spec: PatternSpec, n_from: int, n_to: int,
             rows.append(RangeRow(n, "inconclusive",
                                  None, formula_exact, formula_valid, None))
             continue
-        match = None
-        if formula_exact is not None:
-            match = result.ar_exact == formula_exact
-            if formula_valid and not match:
-                mismatches.append(n)
-        rows.append(RangeRow(n, "ok", result.ar_exact,
-                             formula_exact, formula_valid, match))
+        ar = result.ar_exact
+        match = None if formula_exact is None else ar == formula_exact
+        if (formula_valid and not match or lo is not None and ar < lo
+                or hi is not None and ar > hi):
+            mismatches.append(n)
+        rows.append(RangeRow(n, "ok", ar, formula_exact, formula_valid, match))
     return RangeReport(spec, n_from, n_to, tuple(rows), tuple(mismatches))

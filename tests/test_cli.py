@@ -2,10 +2,17 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from antiramsey import build_pattern, oracle, parse_coloring, serialize_coloring
+from antiramsey import (
+    BoundReport,
+    build_pattern,
+    oracle,
+    parse_coloring,
+    serialize_coloring,
+)
 from antiramsey.cli import main
 from antiramsey.graphs import Path
 from antiramsey.oracle import RangeReport
@@ -230,6 +237,21 @@ class TestVerify:
                               "--n-from", "4", "--n-to", "4")
         assert code == 3
         assert json.loads(out)["mismatches"] == [4]
+
+    # AR(K4, C3) = 4, so a valid lower bound of 5 or upper bound of 3 is
+    # broken by the real oracle run
+    @pytest.mark.parametrize("bound,value", [("lower", 5), ("upper", 3)])
+    def test_broken_valid_bound_exits_three(self, capsys, monkeypatch,
+                                            bound, value):
+        monkeypatch.setattr("antiramsey.oracle.ar_family", lambda n, spec:
+                            BoundReport(spec, n, **{bound: Fraction(value)},
+                                        valid={bound: True}))
+        code, out, _err = run(capsys, "verify", "--family", "C3",
+                              "--n-from", "4", "--n-to", "4")
+        assert code == 3
+        js = json.loads(out)
+        assert js["mismatches"] == [4]
+        assert [r["ar_oracle"] for r in js["rows"]] == [4]
 
     def test_short_path_on_k4_is_data_not_a_mismatch(self, capsys):
         js = run_json(capsys, "verify", "--family", "P4",

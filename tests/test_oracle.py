@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import random
+from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import factorial
@@ -10,6 +11,7 @@ from math import factorial
 import pytest
 
 from antiramsey import (
+    BoundReport,
     Cycle,
     Graph,
     Matching,
@@ -177,18 +179,24 @@ class TestHostK8:
     # the ceiling lifted for these runs only.  The witnesses are the ones the
     # search found before vertex 0's star was made canonical (C4 then took
     # 2,780,021 nodes, over this budget)
-    @pytest.mark.parametrize("family,ar,witness", [
-        ("C3", 8, "0123456000000111112222333445"),
-        ("P4", 3, "0100000000000000000000000000"),
-        ("2P3", 9, "0123456777777777777777777777"),
-        ("C4", 10, "0123400000056722001100100008"),
-    ])
-    def test_settled_at_n8(self, family, ar, witness, monkeypatch):
+    # the ids are those from before the node counts were pinned, so that
+    # pinning them renamed no test
+    @pytest.mark.parametrize("family,ar,nodes,witness", [
+        ("C3", 8, 21_087, "0123456000000111112222333445"),
+        ("P4", 3, 254, "0100000000000000000000000000"),
+        ("2P3", 9, 8_341, "0123456777777777777777777777"),
+        ("C4", 10, 295_732, "0123400000056722001100100008"),
+    ], ids=["C3-8-0123456000000111112222333445",
+            "P4-3-0100000000000000000000000000",
+            "2P3-9-0123456777777777777777777777",
+            "C4-10-0123400000056722001100100008"])
+    def test_settled_at_n8(self, family, ar, nodes, witness, monkeypatch):
         monkeypatch.setattr(oracle, "HARD_CEILING", 8)
         spec = parse_family(family)
         r = max_rainbow_free(8, spec, node_budget=500_000)
         assert r.conclusive
         assert r.ar_exact == ar
+        assert r.nodes_explored == nodes
         assert r.witness.colors == tuple(int(ch) for ch in witness)
         assert find_rainbow(r.witness, spec) is None
 
@@ -447,6 +455,36 @@ class TestVerifyRange:
         assert row.formula_exact == 7 and row.formula_valid is False
         assert row.match is False
         assert report.mismatches == ()
+
+    # AR(K4, C3) = 4: a lower bound with ceiling 5 or an upper bound with
+    # floor 3 is broken, one with ceiling or floor 4 holds
+    @pytest.mark.parametrize("bound,value,broken", [
+        ("lower", Fraction(9, 2), True),
+        ("upper", Fraction(7, 2), True),
+        ("lower", Fraction(7, 2), False),
+        ("upper", Fraction(9, 2), False),
+    ])
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_broken_valid_bound_is_a_mismatch(self, bound, value, broken,
+                                              valid, monkeypatch):
+        monkeypatch.setattr(oracle, "ar_family", lambda n, spec: BoundReport(
+            spec, n, **{bound: value}, valid={bound: valid}))
+        report = verify_range(Cycle(3), 4, 4)
+        assert report.rows[0].ar_oracle == 4
+        assert report.mismatches == ((4,) if broken and valid else ())
+
+    # every n from |V| to the ceiling settles under the default budget, and
+    # no bound flagged valid is broken
+    @pytest.mark.parametrize("family", [
+        "C3", "C4", "C5", "C6", "P3", "P4", "P5", "P6", "P7", "2P2", "3P2",
+        "2P3", "C3+P2", "P3+P2", "P3+2P2", "P4+P2", "C4+P2", "P5+P2",
+        "C3+2P2", "P4+P3",
+    ])
+    def test_no_valid_bound_broken_up_to_the_ceiling(self, family):
+        spec = parse_family(family)
+        report = verify_range(spec, build_pattern(spec).n, oracle.HARD_CEILING)
+        assert report.mismatches == ()
+        assert {row.status for row in report.rows} == {"ok"}
 
     def test_infeasible_hosts_skipped(self):
         report = verify_range(Cycle(3), 8, 9)
