@@ -29,7 +29,6 @@ from .formulas import (
     matching_step_threshold,
     path_matching_bounds,
     transfer_upper_bound,
-    triples_gamma,
     triples_step_threshold,
 )
 from .graphs import (
@@ -72,5 +71,5 @@ __all__ = [
     "max_rainbow_free", "parse_coloring", "parse_family",
     "parse_graph", "path_matching_bounds", "q_cover",
     "serialize_coloring", "transfer_upper_bound",
-    "triples_gamma", "triples_step_threshold", "verify_range",
+    "triples_step_threshold", "verify_range",
 ]

@@ -24,13 +24,17 @@ one above the ceiling included.  A reversed range (``formula --grid 9..5``,
 ``verify --n-from 6 --n-to 3``) and a negative ``verify`` host
 (``--n-from -3``) are input errors and exit 1, and so is a ``construct``
 flag of the other mode (``--m`` with ``--mode lemma``, ``--r1`` or ``--s``
-with ``--mode clique``), which writes no file.
+with ``--mode clique``), which writes no file.  A reader that closes
+stdout early (``| head -c 100``) ends the command quietly with 141, the
+code a shell gives a process that SIGPIPE ends (128 + 13), and no
+``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import fields, is_dataclass
@@ -236,7 +240,14 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is left in the buffer, which the
+        # interpreter flushes at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UnrecognizedFamilyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -335,11 +335,6 @@ def cycle_matching_bounds(n: int, k: int, t: int) -> BoundReport:
                        provenance=("cycle+matching-pair",))
 
 
-def triples_gamma(k_path_edges: int) -> Fraction:
-    """Threshold constant for the path-plus-triples equality window."""
-    return triples_step_threshold(_path_params(k_path_edges))
-
-
 def ar_family(n: int, spec: PatternSpec) -> BoundReport:
     """Evaluate the recognized family closed form or bound pair at n.
 
@@ -419,8 +414,8 @@ def _family_report(n: int, spec: PatternSpec) -> BoundReport:
     if k:
         if t:
             raise unrecognized
-        value = linear_form(k + big.k // 2 - 1, n) + 2 + big.k % 2
-        return _exact_report(spec, n, value, n > 5 * k + triples_gamma(big.k),
+        ub = transfer_upper_bound(n, k, _path_params(big.k), "P3")
+        return _exact_report(spec, n, ub.value, ub.valid,
                              ["path+triples-equality", "large-n-window-unverified"])
     if t == 0:
         return ar_path(n, big.k)

@@ -61,8 +61,11 @@ size) cannot beat the incumbent.  Each packed placement uses two unblocked
 uncolored edges, so with slack = (colors open) + (unblocked uncolored
 edges) - (incumbent) the scan runs only where 2 * slack <= (unblocked
 uncolored edges), and stops once the packing reaches the slack.  Its
-candidates are the live placements with two or more edges, less those
-through a blocked uncolored edge.
+candidates are the live placements, less those through a blocked uncolored
+edge.  Each has two or more uncolored edges: a live placement with one
+uncolored edge blocks it, and a fully colored live one would be a rainbow
+copy, which no frame keeps.  (A one-edge pattern, whose placements block
+nothing, never opens a color and so never reaches the scan.)
 Both bounds run in the parent, at the color try, before a child frame
 opens: a child they cut costs one counted node and no call.
 
@@ -145,12 +148,12 @@ class OracleResult:
 
 
 def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
-                                                 list[int], list, int]:
+                                                 list[int], list, list[int]]:
     """Every placement of g into K_n, numbered once; sets of them as bit masks.
 
     Placements are numbered in lexicographic order of their sorted edge-rank
     tuples, and a set of placements is the bit mask over those numbers.
-    Returns ``(masks, through, last, near, wide)``:
+    Returns ``(masks, through, last, near, reach)``:
 
     * ``masks[p]``: placement p's edge bit mask;
     * ``through[e]``: the placements through edge e;
@@ -159,12 +162,13 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
     * ``near[i]``: ``(1 << e, set)`` pairs, the placements whose
       second-largest rank is i grouped by their largest rank e.  Once edge
       i is colored each has one uncolored edge left, e;
-    * ``wide``: the placements with two or more edges, the packing's
-      candidates.
+    * ``reach[i]``: the placements whose second-largest rank is i, the
+      union of near[i]'s sets.  Of a child's live placements, those within
+      reach[i] decide which edges coloring i blocks.
 
-    A one-edge placement is in ``last`` of its edge only: its empty rest is
-    rainbow, so it closes on that edge at every frame and the search never
-    opens a color.
+    A one-edge placement is in no ``near`` or ``reach`` set: its empty rest
+    is rainbow, so it closes on its edge at every frame and the search
+    never opens a color.
 
     Placements are built component by component; only the edge set of a
     copy matters for rainbow-ness.  A connected component on c vertices has
@@ -251,8 +255,8 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
     masks = [placement[1] for placement in placements]
     through = [0] * m
     last = [0] * m
+    reach = [0] * m
     groups: list[dict[int, int]] = [{} for _ in range(m)]
-    wide = 0
     for p, placement in enumerate(placements):
         ranks = placement[0]
         bit = 1 << p
@@ -262,9 +266,9 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
         if len(ranks) > 1:
             group = groups[ranks[-2]]
             group[ranks[-1]] = group.get(ranks[-1], 0) | bit
-            wide |= bit
+            reach[ranks[-2]] |= bit
     near = [[(1 << e, group) for e, group in gs.items()] for gs in groups]
-    return masks, through, last, near, wide
+    return masks, through, last, near, reach
 
 
 def _ranks(mask: int) -> tuple[int, ...]:
@@ -336,13 +340,7 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
         node_budget = DEFAULT_BUDGET_N7
 
     m = n * (n - 1) // 2
-    masks, through, last, near, wide = _placement_index(n, g)
-    # per edge i: the union of the near[i] sets, the part of a child's live
-    # placements that decides which edges coloring i blocks
-    reach = [0] * m
-    for i, groups in enumerate(near):
-        for _, group in groups:
-            reach[i] |= group
+    masks, through, last, near, reach = _placement_index(n, g)
     # per depth i: a child's live placements within reach[i] -> the edges
     # that coloring i blocks in it; a miss empties a full table
     blocks: list[dict[int, int]] = [{} for _ in range(m)]
@@ -471,8 +469,7 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
             # Greedy in placement order: pack the first candidate and drop
             # those through its uncolored edges, until the slack is packed
             if 2 * slack <= kid_free:
-                cand = wide & kid
-                cand ^= cand & span(blk & high)
+                cand = kid ^ (kid & span(blk & high))
                 while cand:
                     slack -= 1  # the first candidate is packed
                     if not slack:

@@ -40,13 +40,20 @@ def naive_has_rainbow(coloring: EdgeColoring, g: Graph) -> bool:
 
 
 def placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
-                                                list[int], list, int]:
+                                                list[int], list, list[int]]:
     """The oracle's placement index, built from every injective vertex map.
 
     Maps g's non-isolated vertices into K_n in every way, dedups the edge
-    sets they give, numbers them by sorted edge-rank tuple and returns
-    ``(masks, through, last, near, wide)`` as ``oracle._placement_index``
-    defines them.
+    sets they give and numbers them by sorted edge-rank tuple.  Each table
+    of ``(masks, through, last, near, reach)`` is then built straight from
+    its definition in ``oracle._placement_index``, as the set of placements
+    that pass its own test:
+
+    * ``through[e]``: the placements containing edge e;
+    * ``last[e]``: those whose largest rank is e;
+    * ``reach[i]``: those whose second-largest rank is i;
+    * ``near[i]``: reach[i] split by largest rank e, one ``(1 << e, set)``
+      pair per e, in the order of each e's first placement.
     """
     pverts = [v for v in range(g.n) if any(v in e for e in g.edges)]
     pos = {v: i for i, v in enumerate(pverts)}
@@ -55,22 +62,21 @@ def placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
                                       for a, b in pedges))
                          for image in permutations(range(n), len(pverts))})
     m = n * (n - 1) // 2
+
+    def having(test) -> int:
+        return sum(1 << p for p, ranks in enumerate(placements) if test(ranks))
+
+    # ranks[-2:-1] holds the second-largest rank, and is empty for a
+    # one-edge placement
     masks = [sum(1 << r for r in ranks) for ranks in placements]
-    through = [0] * m
-    last = [0] * m
-    groups: list[dict[int, int]] = [{} for _ in range(m)]
-    wide = 0
-    for p, ranks in enumerate(placements):
-        bit = 1 << p
-        for r in ranks:
-            through[r] |= bit
-        last[ranks[-1]] |= bit
-        if len(ranks) > 1:
-            group = groups[ranks[-2]]
-            group[ranks[-1]] = group.get(ranks[-1], 0) | bit
-            wide |= bit
-    near = [[(1 << e, group) for e, group in gs.items()] for gs in groups]
-    return masks, through, last, near, wide
+    through = [having(lambda ranks: e in ranks) for e in range(m)]
+    last = [having(lambda ranks: ranks[-1] == e) for e in range(m)]
+    reach = [having(lambda ranks: ranks[-2:-1] == (i,)) for i in range(m)]
+    near = [[(1 << e, having(lambda ranks: ranks[-2:] == (i, e)))
+             for e in dict.fromkeys(ranks[-1] for ranks in placements
+                                    if ranks[-2:-1] == (i,))]
+            for i in range(m)]
+    return masks, through, last, near, reach
 
 
 def first_rainbow(coloring: EdgeColoring, g: Graph) -> tuple[int, ...] | None:

@@ -27,7 +27,6 @@ from antiramsey import (
     max_rainbow_free,
     path_matching_bounds,
     q_cover,
-    triples_gamma,
     triples_step_threshold,
 )
 
@@ -164,10 +163,13 @@ def test_criterion_6_tightness_sandwich():
     for k in range(2, 9):
         families.append((TriplePath(k), k - 1, 1,
                          lambda n, k=k: n > 5 * k + 1))
+    # the window constant of each path, P4 .. P8, as a literal, so the check
+    # does not lean on triples_step_threshold
+    gamma = {3: 41, 4: 21, 5: 31, 6: 26, 7: 35}
     for t in range(3, 8):
         for k in range(1, 5):
             families.append((Union(Path(t), TriplePath(k)), t // 2 + k - 1, 1 + t % 2,
-                             lambda n, t=t, k=k: n > 5 * k + triples_gamma(t)))
+                             lambda n, t=t, k=k: n > 5 * k + gamma[t]))
     for k in range(1, 9):
         families.append((Union(Matching(1), TriplePath(k)), k - 1, 2,
                          lambda n, k=k: n > 5 * k + 27))

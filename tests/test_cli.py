@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -313,6 +317,21 @@ class TestPlumbing:
             code, out, err = run(capsys, "formula", "--family", "C3", "--grid", grid)
             assert code == 1, grid
             assert out == "" and grid in err
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # a reader that stops early, like `| head -c 100`, is no input error.
+        # The grid's half megabyte overfills the pipe, so the command is
+        # still writing when the pipe closes
+        src = str(FilePath(__file__).resolve().parent.parent / "src")
+        with subprocess.Popen(
+                [sys.executable, "-m", "antiramsey.cli", "formula",
+                 "--family", "C3+2P2", "--grid", "12..3000"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src}) as proc:
+            assert proc.stdout.read(100).startswith(b'[{"exact": ')
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
 
 
 class TestOutputBytes:
