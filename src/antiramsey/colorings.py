@@ -4,13 +4,25 @@ A coloring assigns a color id to every edge of ``K_n`` and must be surjective
 onto ``0..c-1``: the number of colors is the quantity all the bounds in this
 library talk about, so unused ids are not allowed.  Colors are stored as a
 flat tuple indexed by the lexicographic edge rank.
+
+The text reader, the writer and ``EdgeColoring.color_matrix`` share one
+layout of K_n's edge order per host size, ``_layout(n)``: the rank of every
+ordered vertex pair, one gather per host row and the text body with a slot
+per edge line.  It is built on first use, never at import, and an LRU cache
+keeps the layouts of the ``_LAYOUTS_KEPT`` most recent host sizes; each
+takes O(n^2) memory.  The reader asks for a layout only once the number of
+edge lines equals C(n,2), so a header alone never sizes a table by its n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations
 from math import comb
+from operator import itemgetter
+
+_LAYOUTS_KEPT = 16
 
 
 def edge_index(n: int, u: int, v: int) -> int:
@@ -19,13 +31,33 @@ def edge_index(n: int, u: int, v: int) -> int:
         u, v = v, u
     if not (0 <= u < v < n):
         raise ValueError(f"({u},{v}) is not an edge of K_{n}")
-    # edges (0,*),(1,*),... precede row u; then offset within row u
-    return comb(n, 2) - comb(n - u, 2) + (v - u - 1)
+    # rows 0..u-1 hold n-1, n-2, ..., n-u edges; then offset within row u
+    return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
 def all_edges(n: int) -> list[tuple[int, int]]:
     """Edges of K_n in lexicographic order."""
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+@lru_cache(maxsize=_LAYOUTS_KEPT)
+def _layout(n: int) -> tuple[list[int], tuple[itemgetter, ...], str]:
+    """K_n's edge order three ways: ``(rank, rows, body)``.
+
+    * ``rank[u * n + v]`` is the rank of edge ``{u, v}`` for either order of
+      its ends, and ``C(n,2)`` on the diagonal ``u == v``;
+    * ``rows[u]`` gathers row u of the color matrix from ``(*colors, -1)``:
+      it reads index ``rank[u * n + v]`` for each v, so the diagonal reads
+      the trailing -1 (for n == 1 it returns that -1 alone, not a tuple);
+    * ``body`` is the text of every edge line, ``"u v %d\\n"`` in rank order.
+    """
+    m = comb(n, 2)
+    rank = [m] * (n * n)
+    for r, (u, v) in enumerate(combinations(range(n), 2)):
+        rank[u * n + v] = rank[v * n + u] = r
+    rows = tuple(itemgetter(*rank[u * n:u * n + n]) for u in range(n))
+    body = "".join(f"{u} {v} %d\n" for u, v in combinations(range(n), 2))
+    return rank, rows, body
 
 
 @dataclass(frozen=True)
@@ -56,14 +88,10 @@ class EdgeColoring:
 
     def color_matrix(self) -> list[list[int]]:
         """Dense n-by-n lookup (diagonal entries are -1)."""
-        n = self.n
-        mat = [[-1] * n for _ in range(n)]
-        cols = iter(self.colors)  # row-major upper triangle: edge rank order
-        for u in range(n):
-            row = mat[u]
-            for v in range(u + 1, n):
-                row[v] = mat[v][u] = next(cols)
-        return mat
+        if self.n < 2:  # a one-index gather returns a scalar, not a row
+            return [[-1] for _ in range(self.n)]
+        cols = (*self.colors, -1)
+        return [list(row(cols)) for row in _layout(self.n)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -88,29 +116,27 @@ def parse_coloring(text: str) -> EdgeColoring:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:
         raise ValueError(f"expected {m} edge lines, found {len(body)}")
-    colors: list[int | None] = [None] * m
+    rank = _layout(n)[0]
+    colors = [-1] * m
     for ln in body:
-        fields = ln.split()
-        if len(fields) != 3:
-            raise ValueError(f"bad coloring line {ln!r}")
         try:
-            u, v, col = (int(f) for f in fields)
-        except ValueError:
+            u, v, col = map(int, ln.split())
+        except ValueError:  # a field that is no integer, or not three fields
             raise ValueError(f"bad coloring line {ln!r}") from None
-        if not (0 <= col < c):
+        if not 0 <= col < c:
             raise ValueError(f"color {col} outside 0..{c - 1}")
-        idx = edge_index(n, u, v)
-        if colors[idx] is not None:
+        idx = rank[u * n + v] if 0 <= u < n and 0 <= v < n else m
+        if idx == m:  # a loop, or an end outside 0..n-1
+            raise ValueError(f"({min(u, v)},{max(u, v)}) is not an edge of K_{n}")
+        if colors[idx] >= 0:
             raise ValueError(f"edge ({u},{v}) colored twice")
         colors[idx] = col
-    coloring = EdgeColoring(n, tuple(colors))  # type: ignore[arg-type]
+    coloring = EdgeColoring(n, tuple(colors))
     if coloring.num_colors != c:
         raise ValueError(f"header says {c} colors, coloring uses {coloring.num_colors}")
     return coloring
 
 
 def serialize_coloring(coloring: EdgeColoring) -> str:
-    lines = [f"{coloring.n} {coloring.num_colors}"]
-    for idx, (u, v) in enumerate(all_edges(coloring.n)):
-        lines.append(f"{u} {v} {coloring.colors[idx]}")
-    return "\n".join(lines) + "\n"
+    body = _layout(coloring.n)[2]
+    return f"{coloring.n} {coloring.num_colors}\n" + body % tuple(coloring.colors)

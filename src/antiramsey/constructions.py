@@ -8,6 +8,7 @@ immaterial (relabeling hosts preserves rainbow-freeness).
 
 from __future__ import annotations
 
+from itertools import cycle, islice
 from math import comb
 
 from .colorings import EdgeColoring, all_edges
@@ -37,17 +38,11 @@ def cover_coloring(n: int, cover_size: int, inner_colors: int) -> EdgeColoring:
     if comb(n - r1, 2) < s:
         raise ValueError(
             f"inner zone has only {comb(n - r1, 2)} edges, cannot use {s} colors")
-    colors = []
-    inner_seen = 0
-    fresh = s
-    for u, _v in all_edges(n):
-        if u >= r1:
-            colors.append(inner_seen % s)
-            inner_seen += 1
-        else:
-            colors.append(fresh)
-            fresh += 1
-    return EdgeColoring(n, tuple(colors))
+    # rows 0..r1-1 are a prefix of the edge order: the fresh colors in
+    # order, then 0..s-1 round-robin over the inner zone
+    fresh = r1 * (2 * n - r1 - 1) // 2
+    inner = islice(cycle(range(s)), comb(n - r1, 2))
+    return EdgeColoring(n, (*range(s, s + fresh), *inner))
 
 
 def clique_coloring(n: int, clique_size: int) -> EdgeColoring:

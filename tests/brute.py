@@ -6,7 +6,9 @@ and vertex transpositions.  The one exception is ``first_rainbow``, which
 walks the library's slot plan unpruned, because the witness a search must
 return is defined by that plan's order.  The small fixtures only the tests need live here
 too: the one-color and all-distinct colorings, host relabeling, and the
-edge-list text writer.
+edge-list text writer.  The coloring text reader and writer, the color
+matrix and the cover coloring are kept here in their plain per-edge form,
+as references for the library's table-driven ones.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from antiramsey import EdgeColoring, Graph
-from antiramsey.colorings import edge_index
+from antiramsey.colorings import all_edges, edge_index
 from antiramsey.rainbow import _build_plan
 
 
@@ -246,3 +248,77 @@ def serialize_graph(g: Graph) -> str:
     lines = [f"{g.n} {g.num_edges}"]
     lines += [f"{u} {v}" for u, v in g.edge_list]
     return "\n".join(lines) + "\n"
+
+
+def naive_serialize_coloring(coloring: EdgeColoring) -> str:
+    """The coloring text, one f-string per edge line."""
+    lines = [f"{coloring.n} {coloring.num_colors}"]
+    for idx, (u, v) in enumerate(all_edges(coloring.n)):
+        lines.append(f"{u} {v} {coloring.colors[idx]}")
+    return "\n".join(lines) + "\n"
+
+
+def naive_parse_coloring(text: str) -> EdgeColoring:
+    """The coloring text reader, one ``edge_index`` call per line, with the
+    library's checks in the library's order and with its messages."""
+    lines = text.splitlines()
+    if not lines:
+        raise ValueError("empty coloring text")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ValueError(f"bad header line {lines[0]!r}, expected 'n c'")
+    try:
+        n, c = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"bad header line {lines[0]!r}, expected integers") from None
+    m = comb(n, 2)
+    body = [ln for ln in lines[1:] if ln.strip()]
+    if len(body) != m:
+        raise ValueError(f"expected {m} edge lines, found {len(body)}")
+    colors: list[int | None] = [None] * m
+    for ln in body:
+        fields = ln.split()
+        if len(fields) != 3:
+            raise ValueError(f"bad coloring line {ln!r}")
+        try:
+            u, v, col = (int(f) for f in fields)
+        except ValueError:
+            raise ValueError(f"bad coloring line {ln!r}") from None
+        if not (0 <= col < c):
+            raise ValueError(f"color {col} outside 0..{c - 1}")
+        idx = edge_index(n, u, v)
+        if colors[idx] is not None:
+            raise ValueError(f"edge ({u},{v}) colored twice")
+        colors[idx] = col
+    coloring = EdgeColoring(n, tuple(colors))  # type: ignore[arg-type]
+    if coloring.num_colors != c:
+        raise ValueError(f"header says {c} colors, coloring uses {coloring.num_colors}")
+    return coloring
+
+
+def naive_color_matrix(coloring: EdgeColoring) -> list[list[int]]:
+    """The dense n-by-n color lookup, filled edge by edge in rank order."""
+    n = coloring.n
+    mat = [[-1] * n for _ in range(n)]
+    cols = iter(coloring.colors)  # row-major upper triangle: edge rank order
+    for u in range(n):
+        row = mat[u]
+        for v in range(u + 1, n):
+            row[v] = mat[v][u] = next(cols)
+    return mat
+
+
+def naive_cover_coloring(n: int, r1: int, s: int) -> EdgeColoring:
+    """The two-zone coloring, edge by edge: a fresh color on each edge that
+    meets ``0..r1-1``, the inner colors round-robin on the rest."""
+    colors = []
+    inner_seen = 0
+    fresh = s
+    for u, _v in all_edges(n):
+        if u >= r1:
+            colors.append(inner_seen % s)
+            inner_seen += 1
+        else:
+            colors.append(fresh)
+            fresh += 1
+    return EdgeColoring(n, tuple(colors))

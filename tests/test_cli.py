@@ -153,6 +153,24 @@ class TestRainbow:
         js = run_json(capsys, "rainbow", "--coloring", str(out), "--family", "2P3")
         assert js["found"] is False
 
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n0 1 0\n1 0 1\n1 2 0\n", "edge (1,0) colored twice"),
+        ("3 2\n0 1 0\n1 1 1\n1 2 0\n", "(1,1) is not an edge of K_3"),
+        ("3 2\n0 1 0\n0 2\n1 2 1\n", "bad coloring line '0 2'"),
+    ], ids=["duplicate-edge", "loop-edge", "two-fields"])
+    def test_bad_coloring_file_exits_one(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "rainbow", "--coloring", str(path), "--family", "2P2")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_missing_coloring_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "absent.txt"
+        code, out, err = run(capsys, "rainbow", "--coloring", str(path), "--family", "2P2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestOracle:
     def test_known_value(self, capsys):

@@ -1,5 +1,7 @@
 """Extremal coloring generators: counts, determinism, rainbow-freeness."""
 
+from math import comb
+
 import pytest
 
 from antiramsey import (
@@ -17,6 +19,8 @@ from antiramsey import (
     q_cover,
     serialize_coloring,
 )
+
+from brute import naive_cover_coloring
 
 
 class TestCoverColoring:
@@ -54,6 +58,12 @@ class TestCoverColoring:
 
     def test_monochromatic_degenerate(self):
         assert cover_coloring(5, 0, 1).num_colors == 1
+
+    def test_matches_per_edge_reference(self):
+        for n in range(15):
+            for r1 in range(n + 1):
+                for s in range(1, comb(n - r1, 2) + 1):
+                    assert cover_coloring(n, r1, s) == naive_cover_coloring(n, r1, s), (n, r1, s)
 
     def test_errors(self):
         with pytest.raises(ValueError):

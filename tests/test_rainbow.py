@@ -30,6 +30,7 @@ from brute import (
     first_rainbow,
     iso_classes,
     monochromatic,
+    naive_color_matrix,
     naive_has_rainbow,
     random_surjective_coloring,
     relabel,
@@ -210,11 +211,12 @@ class TestHostSymmetry:
 class TestColorMatrix:
     def test_entries_are_edge_colors(self):
         rng = random.Random(99)
-        hosts = [monochromatic(n) for n in range(9)] + [all_distinct(n) for n in range(9)]
+        hosts = [monochromatic(n) for n in range(25)] + [all_distinct(n) for n in range(25)]
         hosts += [random_surjective_coloring(rng, n, rng.randrange(1, 12))
-                  for n in range(2, 9) for _ in range(5)]
+                  for n in range(25) for _ in range(5)]
         for coloring in hosts:
             mat = coloring.color_matrix()
+            assert mat == naive_color_matrix(coloring)
             assert len(mat) == coloring.n
             for u in range(coloring.n):
                 assert len(mat[u]) == coloring.n
