@@ -10,8 +10,15 @@ layout of K_n's edge order per host size, ``_layout(n)``: the rank of every
 ordered vertex pair, one gather per host row and the text body with a slot
 per edge line.  It is built on first use, never at import, and an LRU cache
 keeps the layouts of the ``_LAYOUTS_KEPT`` most recent host sizes; each
-takes O(n^2) memory.  The reader asks for a layout only once the number of
-edge lines equals C(n,2), so a header alone never sizes a table by its n.
+takes O(n^2) memory.
+
+The reader tries the writer's own layout first: it takes every third field
+as a color and accepts the text only if writing those colors again gives
+back exactly the same text, so every line is ``u v col`` in rank order.
+Any other text, and every error, goes to the per-line reader, which accepts
+every layout the format allows and is the only source of error messages.
+Both paths ask for a layout only once the edge count equals C(n,2), so a
+header alone never sizes a table by its n.
 """
 
 from __future__ import annotations
@@ -74,9 +81,10 @@ class EdgeColoring:
                 f"need {m} colors for K_{self.n}, got {len(self.colors)}"
             )
         if m:
+            # distinct ints all >= 0 with the largest one less than their
+            # count are exactly 0..c-1
             used = set(self.colors)
-            c = max(used) + 1
-            if min(used) < 0 or used != set(range(c)):
+            if min(used) < 0 or max(used) != len(used) - 1:
                 raise ValueError("color ids must be exactly 0..c-1, all used")
 
     @cached_property
@@ -102,6 +110,34 @@ class EdgeColoring:
 # once, colors in 0..c-1 and surjective.
 
 def parse_coloring(text: str) -> EdgeColoring:
+    try:
+        coloring = _parse_written(text)
+    except (IndexError, ValueError):  # no header, a bad field, or no coloring
+        coloring = None
+    return _parse_lines(text) if coloring is None else coloring
+
+
+def _parse_written(text: str) -> EdgeColoring | None:
+    """The coloring if ``text`` is exactly what ``serialize_coloring`` writes
+    for it, else None (or an IndexError or ValueError on the way).
+
+    Equality with the writer's output fixes every line to ``u v col`` in rank
+    order, so the per-line reader would read exactly these colors.  Every
+    color is in 0..c-1 once ``EdgeColoring`` finds them surjective onto
+    0..k-1 and k equals the header's c."""
+    fields = text.split()
+    n, c = int(fields[0]), int(fields[1])
+    colors = tuple(map(int, fields[4::3]))
+    if len(colors) != comb(n, 2):  # comb raises ValueError on a negative n
+        return None
+    if text != f"{n} {c}\n" + _layout(n)[2] % colors:
+        return None
+    coloring = EdgeColoring(n, colors)
+    return coloring if coloring.num_colors == c else None
+
+
+def _parse_lines(text: str) -> EdgeColoring:
+    """The reader for every layout the format allows, and for every error."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty coloring text")

@@ -68,7 +68,8 @@ def cover_lower_bound(n: int, cover_size: int, inner_colors: int) -> int:
         raise ValueError("cover size and color count must be nonnegative")
     if n < cover_size:
         raise ValueError(f"n={n} smaller than cover size {cover_size}")
-    return _as_int(linear_form(cover_size, n)) + inner_colors
+    # the edges meeting the cover, in ints: C(n,2) - C(n-r1,2) = r1(2n-r1-1)/2
+    return comb(n, 2) - comb(n - cover_size, 2) + inner_colors
 
 
 # ---------------------------------------------------------------------------

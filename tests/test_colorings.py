@@ -1,14 +1,17 @@
 """Coloring text format: every reader error with its message, the layouts
-the reader accepts, and the table-driven reader, writer and color matrix
-against their per-edge references in ``brute``."""
+the reader accepts, each way out of the reader's exact-match check, and the
+table-driven reader, writer and color matrix against their per-edge
+references in ``brute``."""
 
 import random
 import re
 import tracemalloc
+from math import comb
 
 import pytest
 
 from antiramsey import EdgeColoring, all_edges, edge_index, parse_coloring, serialize_coloring
+from antiramsey.colorings import _parse_written
 
 from brute import (
     naive_color_matrix,
@@ -106,6 +109,119 @@ def test_serialized_text_is_canonical():
     assert serialize_coloring(K4) == "4 3\n0 1 0\n0 2 1\n0 3 2\n1 2 2\n1 3 1\n2 3 0\n"
 
 
+def _two_set_test(colors):
+    """The surjectivity test ``EdgeColoring`` made with a second set."""
+    used = set(colors)
+    return min(used) >= 0 and used == set(range(max(used) + 1))
+
+
+def test_surjectivity_check_equals_the_two_set_test():
+    rng = random.Random(2525)
+    kinds = set()
+    for _ in range(3000):
+        n = rng.randrange(2, 8)
+        lo = rng.choice([0, 0, 0, -1, -3])
+        hi = lo + rng.choice([0, 1, 2, 3, comb(n, 2) + 1])
+        colors = tuple(rng.randint(lo, hi) for _ in range(comb(n, 2)))
+        used = set(colors)
+        kinds.add("negative" if min(used) < 0 else
+                  "gap" if max(used) >= len(used) else "surjective")
+        kinds.add("repeat" if len(used) < len(colors) else "distinct")
+        if _two_set_test(colors):
+            assert EdgeColoring(n, colors).num_colors == len(used)
+        else:
+            with pytest.raises(ValueError, match=r"^color ids must be exactly 0\.\.c-1, all used$"):
+                EdgeColoring(n, colors)
+    assert kinds == {"negative", "gap", "surjective", "repeat", "distinct"}
+
+
+def _written(text):
+    """What the exact-match check reads from ``text``: None means the text
+    goes on to the per-line reader."""
+    try:
+        return _parse_written(text)
+    except (IndexError, ValueError):
+        return None
+
+
+_NON_ASCII = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                         "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _exact_match_exits(rng, coloring):
+    """A written text of ``coloring`` with one thing damaged, one text for
+    each way out of the exact-match check that fits K_n."""
+    n, c = coloring.n, coloring.num_colors
+    lines = serialize_coloring(coloring).splitlines()
+    texts = {}
+
+    def put(kind, i, line):
+        texts[kind] = "".join(f"{ln}\n" for ln in (*lines[:i], line, *lines[i + 1:]))
+
+    def recolor(kind, col):
+        i = rng.randrange(1, len(lines))
+        u, v, _ = lines[i].split()
+        put(kind, i, f"{u} {v} {col}")
+
+    def respell(kind, spell, fits=lambda field: True):
+        spots = [(i, j) for i, ln in enumerate(lines)
+                 for j, field in enumerate(ln.split()) if fits(field)]
+        if spots:
+            i, j = rng.choice(spots)
+            fields = lines[i].split()
+            fields[j] = spell(fields[j])
+            put(kind, i, " ".join(fields))
+
+    if len(lines) > 1:
+        recolor("color -1", -1)
+        recolor("color c", c)
+    put("header c+1", 0, f"{n} {c + 1}")
+    put("header c-1", 0, f"{n} {c - 1}")
+    respell("+3", lambda field: "+" + field)
+    respell("03", lambda field: "0" + field)
+    respell("1_0", "_".join, lambda field: len(field) > 1)
+    respell("non-ASCII digit", lambda field: field.translate(_NON_ASCII))
+    text = "".join(f"{ln}\n" for ln in lines)
+    texts["no final newline"] = text[:-1]
+    texts["CRLF"] = text.replace("\n", "\r\n")
+    i = rng.randrange(len(lines))
+    put("trailing space", i, lines[i] + " ")
+    i = rng.randrange(1, len(lines) + 1)  # a blank first line is no header
+    texts["extra blank line"] = "".join(f"{ln}\n" for ln in (*lines[:i], "", *lines[i:]))
+    if len(lines) > 2:
+        i, j = sorted(rng.sample(range(1, len(lines)), 2))
+        swapped = [*lines]
+        swapped[i], swapped[j] = lines[j], lines[i]
+        texts["two lines swapped"] = "".join(f"{ln}\n" for ln in swapped)
+    return texts
+
+
+def test_each_exit_of_the_exact_match_check():
+    # every damaged text leaves the exact-match check, and then reads as the
+    # per-edge reference reads it: the same coloring or the same message
+    rng = random.Random(2525)
+    outcomes = {}
+    for coloring in _random_colorings():
+        for kind, text in _exact_match_exits(rng, coloring).items():
+            assert _written(text) is None, (kind, text)
+            try:
+                expected = naive_parse_coloring(text)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    parse_coloring(text)
+                outcomes.setdefault(kind, set()).add("error")
+            else:
+                assert parse_coloring(text) == expected, (kind, text)
+                outcomes.setdefault(kind, set()).add("ok")
+    assert outcomes == {
+        "color -1": {"error"}, "color c": {"error"},
+        "header c+1": {"error"}, "header c-1": {"error"},
+        "+3": {"ok"}, "03": {"ok"}, "1_0": {"ok"}, "non-ASCII digit": {"ok"},
+        "no final newline": {"ok"}, "CRLF": {"ok"}, "trailing space": {"ok"},
+        "extra blank line": {"ok"}, "two lines swapped": {"ok"},
+    }
+
+
 def _random_colorings():
     rng = random.Random(2424)
     return [random_surjective_coloring(rng, n, rng.randrange(1, 2 * n + 3))
@@ -154,6 +270,7 @@ class TestAgainstPerEdgeReferences:
         for coloring in _random_colorings():
             text = serialize_coloring(coloring)
             assert text == naive_serialize_coloring(coloring)
+            assert _written(text) == coloring  # read by the exact-match check
             assert parse_coloring(text) == coloring == naive_parse_coloring(text)
             assert coloring.color_matrix() == naive_color_matrix(coloring)
 

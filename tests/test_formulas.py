@@ -1,6 +1,7 @@
 """Closed forms, windows, and threshold constants."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -18,6 +19,7 @@ from antiramsey import (
     ar_matching,
     ar_path,
     build_pattern,
+    cover_coloring,
     cover_lower_bound,
     cycle_matching_bounds,
     family_name,
@@ -29,6 +31,7 @@ from antiramsey import (
     triples_step_threshold,
 )
 from antiramsey.cli import _plain
+from antiramsey.formulas import _as_int
 
 
 class TestPath:
@@ -372,10 +375,28 @@ class TestCoverLowerBound:
                 assert isinstance(cover_lower_bound(n, r1, 3), int)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n=3 smaller than cover size 5$"):
             cover_lower_bound(3, 5, 1)
-        with pytest.raises(ValueError):
-            cover_lower_bound(5, -1, 1)
+        for r1, s in [(-1, 1), (1, -1), (-2, -2)]:
+            with pytest.raises(ValueError,
+                               match=r"^cover size and color count must be nonnegative$"):
+                cover_lower_bound(5, r1, s)
+
+    def test_grid_equals_linear_form_and_cover_coloring(self):
+        # the int count against the rational closed form everywhere, and
+        # against the coloring it counts wherever that coloring exists
+        built = 0
+        for n in range(41):
+            for r1 in range(n + 1):
+                for s in range(5):
+                    count = cover_lower_bound(n, r1, s)
+                    assert count == _as_int(linear_form(r1, n)) + s, (n, r1, s)
+                    if 1 <= s <= comb(n - r1, 2):
+                        assert count == cover_coloring(n, r1, s).num_colors, (n, r1, s)
+                        built += 1
+        # s = 1..4 on the 703 pairs with n - r1 >= 4, s = 1..3 on the 38 with
+        # n - r1 == 3, s = 1 on the 39 with n - r1 == 2
+        assert built == 4 * 703 + 3 * 38 + 39
 
 
 class TestOrderingInvariants:
