@@ -19,8 +19,10 @@ exhausted search budget (for verify: any row ``inconclusive`` or
 ``skipped-infeasible``, or no row ``ok``; ``skipped-small`` rows beside an
 ``ok`` row pass), 3 (verify) the exhaustive search breaks a closed form
 flagged valid - an exact value it disagrees with, or a lower or upper bound
-it falls outside - ahead of 2.  A ``--budget`` below 1 exits 1 on any host,
-one above the ceiling included.  A reversed range (``formula --grid 9..5``,
+it falls outside - ahead of 2.  ``oracle`` and ``verify`` search each host
+under ``--budget`` nodes (``oracle.DEFAULT_BUDGET`` if not given), and check
+it before the host ceiling: a ``--budget`` below 1 exits 1 on any host, one
+above the ceiling included.  A reversed range (``formula --grid 9..5``,
 ``verify --n-from 6 --n-to 3``) and a negative ``verify`` host
 (``--n-from -3``) are input errors and exit 1, and so is a ``construct``
 flag of the other mode (``--m`` with ``--mode lemma``, ``--r1`` or ``--s``
@@ -44,13 +46,7 @@ from .colorings import EdgeColoring, parse_coloring, serialize_coloring
 from .constructions import clique_coloring, cover_coloring
 from .formulas import UnrecognizedFamilyError, ar_family
 from .graphs import PatternSpec, family_name, parse_family, parse_graph
-from .oracle import (
-    DEFAULT_BUDGET_N7,
-    HARD_CEILING,
-    _check_budget,
-    max_rainbow_free,
-    verify_range,
-)
+from .oracle import DEFAULT_BUDGET, InfeasibleHost, max_rainbow_free, verify_range
 from .qcover import q_cover
 from .rainbow import find_rainbow
 
@@ -150,12 +146,6 @@ def _cmd_rainbow(args) -> int:
 
 def _cmd_oracle(args) -> int:
     spec = parse_family(args.family)
-    _check_budget(args.budget)  # a bad budget is an input error on any host
-    if args.n > HARD_CEILING:
-        print(f"n={args.n} beyond the exhaustive-search ceiling "
-              f"({HARD_CEILING})", file=sys.stderr)
-        return INFEASIBLE
-
     start = time.perf_counter()
 
     def log_progress(nodes, best):
@@ -220,8 +210,7 @@ def main(argv=None) -> int:
     src.add_argument("--graph", help="edge-list file")
     p.set_defaults(func=_cmd_rainbow)
 
-    budget_help = (f"search node budget per host (default: unlimited below "
-                   f"n={HARD_CEILING}, {DEFAULT_BUDGET_N7:,} at n={HARD_CEILING})")
+    budget_help = f"search node budget per host (default: {DEFAULT_BUDGET:,})"
 
     p = sub.add_parser("oracle", help="exact anti-Ramsey value by exhaustive search")
     p.add_argument("--family", required=True)
@@ -248,6 +237,9 @@ def main(argv=None) -> int:
         # interpreter flushes at exit, nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except InfeasibleHost as exc:  # a ValueError, but not an input error
+        print(exc, file=sys.stderr)
+        return INFEASIBLE
     except (UnrecognizedFamilyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

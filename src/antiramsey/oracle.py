@@ -114,11 +114,12 @@ The rule leaves the maximum and the witness unchanged:
 The reported witness is the first incumbent attaining the final maximum in
 the fixed search order: pruning only cuts subtrees whose bound cannot beat
 the incumbent, and the incumbent changes only on a strict improvement, so a
-tighter sound bound leaves the witness unchanged.  n <= 6 always completes.
-n = 7 runs under a default node budget and falls back to an explicit
-inconclusive result; C3-C6, P3-P7, 2P2, 3P2, 2P3, C3+P2, P3+P2, P3+2P2,
-P4+P2, C4+P2, P5+P2, C3+2P2 and P4+P3 all finish within it, C3+2P2 the
-largest at 388,124 nodes.
+tighter sound bound leaves the witness unchanged.  Every call runs under a
+node budget, ``DEFAULT_BUDGET`` unless one is given, and is inconclusive if
+it runs out.  Hosts with n <= 6 settle well within it: K5 has 10 edges, and
+every pattern on at most 6 vertices settles on K6 in at most 124,704 nodes.
+On K7, C3-C6, P3-P7, 2P2, 3P2, 2P3, C3+P2, P3+P2, P3+2P2, P4+P2, C4+P2,
+P5+P2, C3+2P2 and P4+P3 all settle, C3+2P2 the largest at 388,124 nodes.
 """
 
 from __future__ import annotations
@@ -132,7 +133,11 @@ from .formulas import ar_family, integer_bounds
 from .graphs import Graph, PatternSpec, build_pattern
 
 HARD_CEILING = 7
-DEFAULT_BUDGET_N7 = 30_000_000
+DEFAULT_BUDGET = 30_000_000
+
+
+class InfeasibleHost(ValueError):
+    """A host above ``HARD_CEILING``, which the exhaustive search refuses."""
 
 
 @dataclass(frozen=True)
@@ -319,25 +324,25 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
                      on_progress=None) -> OracleResult:
     """Maximum color count over rainbow-free colorings of K_n, with witness.
 
-    Raises ValueError for hosts above the feasibility ceiling and for a node
-    budget that is not an int of at least 1 (a bool is not).  If the node
-    budget runs out the result is returned with ``conclusive=False`` and
-    ``ar_exact=None``; the color count is then only a lower bound, and
-    ``nodes_explored`` equals the budget.
+    Checks, in this order: a node budget that is not an int of at least 1
+    (a bool is not) raises ValueError; a host above ``HARD_CEILING`` raises
+    ``InfeasibleHost``, a ValueError; a pattern with no edge, or with more
+    vertices than the host, raises ValueError.  The search stops after
+    ``node_budget`` nodes, ``DEFAULT_BUDGET`` if None; the result is then
+    returned with ``conclusive=False`` and ``ar_exact=None``, the color
+    count is only a lower bound, and ``nodes_explored`` equals the budget.
     ``on_progress(nodes, best)`` is called every PROGRESS_INTERVAL nodes so
     callers can log progress without touching the result.
     """
+    _check_budget(node_budget)
+    if n > HARD_CEILING:
+        raise InfeasibleHost(
+            f"n={n} beyond the exhaustive-search ceiling ({HARD_CEILING})")
     g = build_pattern(pattern)
     if g.num_edges == 0:
         raise ValueError("pattern needs at least one edge")
     if g.n > n:
         raise ValueError(f"pattern has {g.n} vertices, host only {n}")
-    if n > HARD_CEILING:
-        raise ValueError(
-            f"n={n} beyond the exhaustive-search ceiling ({HARD_CEILING})")
-    _check_budget(node_budget)
-    if n == HARD_CEILING and node_budget is None:
-        node_budget = DEFAULT_BUDGET_N7
 
     m = n * (n - 1) // 2
     masks, through, last, near, reach = _placement_index(n, g)
@@ -354,11 +359,11 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
     # reuse; a blocked edge only reuses
     orders = [(c, *range(c)) for c in range(m + 1)]
     reuses = [tuple(range(c)) for c in range(m + 1)]
-    limit = -1 if node_budget is None else node_budget  # nodes never reaches -1
+    limit = DEFAULT_BUDGET if node_budget is None else node_budget
     # a node count rec stops at, before counting the next node: the budget
     # or the count before the next progress report, whichever comes first
-    report = -1 if on_progress is None else PROGRESS_INTERVAL - 1
-    mark = limit if report < 0 else report if limit < 0 else min(limit, report)
+    report = limit if on_progress is None else PROGRESS_INTERVAL - 1
+    mark = min(limit, report)
     color = [0] * m
     star = n - 1  # edges 0 .. n - 2 are (0, 1) .. (0, n - 1)
     best = 0
@@ -420,9 +425,7 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
         rest = m - i - 1
         nxt = -1
         for c in cs:
-            if c == cmax:  # fresh color; if its bound fails, so does reuse
-                if cmax + free <= best:
-                    return
+            if c == cmax:  # fresh id, tried first: the caller ran its bound
                 nxt = cmax + 1
             elif nxt != cmax:  # first reused id, after the fresh subtree ran
                 if cmax + free - own <= best:
@@ -434,7 +437,7 @@ def max_rainbow_free(n: int, pattern: PatternSpec,
                     return
                 on_progress(nodes + 1, best)
                 report += PROGRESS_INTERVAL
-                mark = report if limit < 0 else min(limit, report)
+                mark = min(limit, report)
             nodes += 1
             was = tinted[c]
             if closing & was != closing:
@@ -535,7 +538,8 @@ def verify_range(spec: PatternSpec, n_from: int, n_to: int,
     must stay empty): an exact value it disagrees with, a lower bound whose
     ceiling it is below, or an upper bound whose floor it is above.  Values
     outside validity windows are recorded as data.
-    Hosts beyond the feasibility ceiling are reported as skipped.  A
+    Hosts the oracle refuses as ``InfeasibleHost`` are reported as
+    ``skipped-infeasible``, with no formula fields.  A
     reversed range (``n_from > n_to``) and a negative host (``n_from < 0``)
     are input errors, not an empty pass.
     """
@@ -551,7 +555,9 @@ def verify_range(spec: PatternSpec, n_from: int, n_to: int,
         if n < g.n:
             rows.append(RangeRow(n, "skipped-small", None, None, None, None))
             continue
-        if n > HARD_CEILING:
+        try:
+            result = max_rainbow_free(n, spec, node_budget)
+        except InfeasibleHost:
             rows.append(RangeRow(n, "skipped-infeasible", None, None, None, None))
             continue
         formula_exact = None
@@ -567,7 +573,6 @@ def verify_range(spec: PatternSpec, n_from: int, n_to: int,
             hi = hi if rep.valid.get("upper") else None
         except ValueError:
             pass
-        result = max_rainbow_free(n, spec, node_budget)
         if not result.conclusive:
             rows.append(RangeRow(n, "inconclusive",
                                  None, formula_exact, formula_valid, None))

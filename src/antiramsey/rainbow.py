@@ -119,10 +119,9 @@ def _twin_partition(mat: list[list[int]], class_size: list[int]) -> list[int]:
     inc = [Counter(row) for row in mat]
 
     def appears_elsewhere(c: int, u: int, v: int) -> bool:
-        cnt = class_size[c] - inc[u][c] - inc[v][c]
-        if mat[u][v] == c:
-            cnt += 1
-        return cnt > 0
+        # the caller never passes mat[u][v], which sigma fixes, so edge uv
+        # is not subtracted twice
+        return class_size[c] - inc[u][c] - inc[v][c] > 0
 
     def is_twin(u: int, v: int) -> bool:
         cuv = mat[u][v]

@@ -91,6 +91,12 @@ class TestQcover:
         assert js["value"] == 1
         assert js["witness"] == [1]
 
+    def test_malformed_graph_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 2\n0 1\n")
+        code, out, err = run(capsys, "qcover", "--graph", str(path), "--j", "1")
+        assert (code, out, err) == (1, "", "error: expected 2 edge lines, found 1\n")
+
 
 class TestConstruct:
     def test_lemma_mode(self, capsys, tmp_path):
@@ -203,19 +209,26 @@ class TestOracle:
 
     @pytest.mark.parametrize("command", ["oracle", "verify"])
     def test_budget_help_names_the_default(self, capsys, command):
-        # at the ceiling the default budget applies, not "unlimited"
+        # one default budget at every host size
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert (f"--budget BUDGET search node budget per host (default: "
-                f"unlimited below n={oracle.HARD_CEILING}, "
-                f"{oracle.DEFAULT_BUDGET_N7:,} at n={oracle.HARD_CEILING})") in text
+        assert ("--budget BUDGET search node budget per host "
+                "(default: 30,000,000)") in text
 
     def test_infeasible_host_exits_two(self, capsys):
         code, _out, err = run(capsys, "oracle", "--family", "C3", "--n", "9")
         assert code == 2
         assert "ceiling" in err
+
+    def test_ceiling_is_the_oracles(self, capsys, monkeypatch):
+        # the CLI keeps no copy of the ceiling: lifting it lifts the command
+        monkeypatch.setattr(oracle, "HARD_CEILING", 8)
+        js = run_json(capsys, "oracle", "--family", "C3", "--n", "8", "--no-meta")
+        assert (js["ar_exact"], js["nodes_explored"]) == (8, 21_087)
+        code, out, err = run(capsys, "oracle", "--family", "C3", "--n", "9")
+        assert (code, out, err) == (2, "", "n=9 beyond the exhaustive-search ceiling (8)\n")
 
     def test_no_meta_is_byte_stable(self, capsys):
         _code, first, _ = run(capsys, "oracle", "--family", "C3", "--n", "4", "--no-meta")

@@ -76,6 +76,11 @@ def test_header_alone_sizes_nothing_by_n():
     assert peak < 1 << 20
 
 
+def test_color_count_must_match_the_host():
+    with pytest.raises(ValueError, match=r"^need 3 colors for K_3, got 1$"):
+        EdgeColoring(3, (0,))
+
+
 def test_negative_host_is_rejected():
     with pytest.raises(ValueError):
         parse_coloring("-1 0\n")

@@ -1,5 +1,6 @@
 """Closed forms, windows, and threshold constants."""
 
+import re
 from fractions import Fraction as F
 from math import comb
 
@@ -163,6 +164,22 @@ class TestFamilyDispatch:
         rep = cycle_matching_bounds(n, k, t)
         assert rep.upper == tb.value
 
+    @pytest.mark.parametrize("fn, n, k, t, message", [
+        (path_matching_bounds, 10, 3, 0,
+         "need path edges >= 4 and a nonnegative matching part"),
+        (path_matching_bounds, 10, 4, -1,
+         "need path edges >= 4 and a nonnegative matching part"),
+        (path_matching_bounds, 6, 4, 1, "n=6 below pattern vertex count 7"),
+        (cycle_matching_bounds, 10, 3, 0,
+         "need cycle length >= 4 and a nonnegative matching part"),
+        (cycle_matching_bounds, 10, 4, -1,
+         "need cycle length >= 4 and a nonnegative matching part"),
+        (cycle_matching_bounds, 5, 4, 1, "n=5 below pattern vertex count 6"),
+    ])
+    def test_matching_pair_errors(self, fn, n, k, t, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fn(n, k, t)
+
     def test_triples(self):
         rep = ar_family(12, TriplePath(2))
         assert rep.exact == 13
@@ -323,6 +340,10 @@ class TestThresholdConstants:
     def test_base_min_n_guard(self):
         with pytest.raises(ValueError):
             matching_step_threshold(TransferParams(3, 2, 2, F(-1), F(1), 6))
+        # P2 plus one P3 has 5 vertices, above a base_min_n of 4
+        with pytest.raises(ValueError,
+                           match="^base_min_n below the base family's vertex count$"):
+            triples_step_threshold(TransferParams(2, 1, 1, F(-1), F(2), 4))
 
 
 class TestTransferBound:

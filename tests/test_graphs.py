@@ -1,5 +1,7 @@
 """Graphs, pattern construction, and the edge-list text format."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,20 @@ class TestGraphValidation:
         g = Graph(4, [(3, 1)])
         assert g.edges == {(1, 3)}
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^vertex count must be nonnegative, got -1$"):
+            Graph(-1)
+
+    def test_empty_union_rejected(self):
+        with pytest.raises(ValueError, match=r"^union of nothing$"):
+            Union()
+
+    @pytest.mark.parametrize("fn", [build_pattern, family_name])
+    def test_non_spec_is_a_type_error(self, fn):
+        spec = object()
+        with pytest.raises(TypeError, match=f"^{re.escape(f'not a pattern spec: {spec!r}')}$"):
+            fn(spec)
+
 
 class TestTextFormat:
     def test_parse_example(self):
@@ -139,6 +155,16 @@ class TestTextFormat:
     def test_malformed_line(self):
         with pytest.raises(ValueError):
             parse_graph("3 1\n0 x\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty graph text"),
+        ("3 x", "bad header line '3 x', expected integers"),
+        ("3 2\n0 1", "expected 2 edge lines, found 1"),
+        ("3 1\n0 1 2", "bad edge line '0 1 2'"),
+    ])
+    def test_each_error_has_its_message(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_graph(text)
 
     def test_isolated_vertices_round_trip(self):
         g = Graph(6, [(0, 1)])

@@ -288,6 +288,25 @@ class TestClassSweep:
         assert hashlib.sha256(repr(nodes).encode()).hexdigest() == self.NODES
 
 
+class TestDefaultBudget:
+    # the one default budget is safe below the ceiling: every host with
+    # n <= 5 has at most 10 edges, and every pattern class on at most 6
+    # vertices settles on K6 far inside it
+    def test_every_class_on_six_vertices_settles_on_k6(self):
+        classes = iso_classes(6, 15)
+        assert len(classes) == 155
+        nodes = []
+        for g in classes:
+            r = max_rainbow_free(6, g)
+            assert r.conclusive, g
+            assert r.witness is None or not naive_has_rainbow(r.witness, g), g
+            nodes.append(r.nodes_explored)
+        assert max(nodes) == 124_704 < oracle.DEFAULT_BUDGET
+        worst = classes[nodes.index(max(nodes))]
+        assert worst.edge_list == ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+                                   (1, 2), (1, 3))
+
+
 class TestPlacementIndex:
     # the component-by-component index against the injective vertex map walk
     # of brute.placement_index.  iso_classes representatives are the first
@@ -345,6 +364,32 @@ class TestValidation:
     def test_edgeless_pattern_rejected(self):
         with pytest.raises(ValueError):
             max_rainbow_free(4, Graph(3))
+
+
+class TestRefusalOrder:
+    # max_rainbow_free alone decides the limits: the budget first, then the
+    # host ceiling, then the pattern
+    def test_budget_then_ceiling_then_pattern(self):
+        big = Graph(10, [(0, 9)])
+        with pytest.raises(ValueError, match=r"^node budget must be at least 1, got 0$"):
+            max_rainbow_free(9, big, node_budget=0)
+        with pytest.raises(oracle.InfeasibleHost,
+                           match=r"^n=9 beyond the exhaustive-search ceiling \(7\)$"):
+            max_rainbow_free(9, big)
+        with pytest.raises(ValueError, match=r"^pattern has 10 vertices, host only 7$"):
+            max_rainbow_free(7, big)
+
+    def test_verify_skips_a_refused_host_without_formula_fields(self, monkeypatch):
+        monkeypatch.setattr(oracle, "HARD_CEILING", 4)
+        report = verify_range(Cycle(3), 4, 5)
+        assert report.rows[0].status == "ok"
+        assert report.rows[1] == oracle.RangeRow(5, "skipped-infeasible",
+                                                 None, None, None, None)
+
+    def test_verify_raises_other_oracle_errors(self):
+        # only a refused host is a skipped row; a bad pattern is an input error
+        with pytest.raises(ValueError, match=r"^pattern needs at least one edge$"):
+            verify_range(Graph(3), 3, 3)
 
 
 class TestBudget:
