@@ -9,7 +9,10 @@ misses more than s edges (q_s(G) > |R|), no rainbow copy fits and the
 coloring's color count is a certified lower bound for AR - 1.
 
 This script computes the cover parameter q, builds the colorings, and lets
-the complete rainbow search confirm every certificate.
+``find_rainbow`` confirm every certificate.  It settles the cover coloring
+with its color-count certificate, the same q_s > |R| argument run on the
+coloring itself, without search; the clique colorings go to its complete
+backtracking search.
 """
 
 from antiramsey import (
@@ -58,7 +61,7 @@ coloring = cover_coloring(n, r1, s)
 print(f"  cover_coloring(n={n}, cover={r1}, inner={s}) uses "
       f"{coloring.num_colors} colors "
       f"(= formula value {cover_lower_bound(n, r1, s)})")
-print(f"  complete search finds a rainbow copy: {find_rainbow(coloring, pattern)}")
+print(f"  find_rainbow finds a rainbow copy: {find_rainbow(coloring, pattern)}")
 print(f"  so AR({n}, 2P3) >= {coloring.num_colors + 1}")
 
 banner("The small-host construction for disjoint triples")

@@ -4,7 +4,11 @@
 edges of the pattern G avoid R entirely, together with the lexicographically
 smallest optimal witness.  This is the quantity that drives every lower-bound
 construction in the library: if q_j(G) exceeds r, the two-zone coloring with
-a distinguished r-set admits no rainbow copy of G.
+a distinguished r-set admits no rainbow copy of G.  ``find_rainbow``'s
+color-count certificate (see ``rainbow``) proves the same q_j > r argument
+on the coloring itself: on paths, cycles and their disjoint unions its
+per-component capped degrees give exactly the fewest edges r vertices leave
+uncovered, so it settles those colorings without search.
 
 The default strategy enumerates subsets in ascending cardinality (bitmask
 incidence, first hit in ``itertools.combinations`` order is the lex-smallest

@@ -7,15 +7,26 @@ complete host whose edge images carry pairwise distinct colors.
 Search organization:
 
 * a color-count certificate runs before any search.  Take the pattern's
-  degrees d1 >= d2 >= ... and its edge count E.  For t = 0, 1, ... remove
-  the t hosts of highest color degree (ties to the lower index) and let k_t
-  be the number of colors left on the remaining host edges.  A copy has at
-  most d1 + ... + dt edges at a removed host, and its other edges need
-  distinct colors among the k_t left, so d1 + ... + dt + k_t < E proves
-  that no rainbow copy exists.  Step t = 0 is the pigeonhole exit (fewer
-  colors than pattern edges) and runs before the color matrix is built.
-  This settles the two-zone cover colorings, whose fresh colors all meet
-  the few cover hosts, however many inner colors they have;
+  edge count E and its degrees capped per component: each component's
+  degrees, largest first, while their running sum stays within its edge
+  count, the last one cut down to fit.  Merged in descending order they
+  read c1 >= c2 >= ... and sum to E.  A t-set of pattern vertices covers at
+  most min(E_C, its largest degrees in C) edges of each component C; each
+  component's capped list only shrinks, so the best split of t is the t
+  largest merged entries, and c1 + ... + ct bounds the edges it covers.
+  For t = 0, 1, ... remove the t hosts of highest color degree (ties to the
+  lower index) and let k_t be the number of colors left on the remaining
+  host edges.  A copy has at most c1 + ... + ct edges at a removed host,
+  and its other edges need distinct colors among the k_t left, so
+  c1 + ... + ct + k_t < E proves that no rainbow copy exists.  Step t = 0
+  is the pigeonhole exit (fewer colors than pattern edges) and runs before
+  the color matrix is built.  On paths, cycles and their disjoint unions
+  E - (c1 + ... + ct) is exactly the fewest edges t pattern vertices leave
+  uncovered, min{j : q_j <= t}.  The two-zone cover coloring with r cover
+  hosts and s inner colors gives its cover hosts the highest color degrees
+  and the lowest indices, so they go first and step t = r fires exactly
+  when q_s > r: on those patterns the paper's lower-bound lemma is decided
+  without search, however many inner colors there are;
 * pattern components are embedded largest-first; within a component vertices
   are placed in BFS order so every new vertex attaches to a placed one and
   color clashes surface as early as possible;
@@ -155,19 +166,58 @@ def _twin_partition(mat: list[list[int]], class_size: list[int]) -> list[int]:
 # Color-count certificate
 # ---------------------------------------------------------------------------
 
+@lru_cache
+def _capped_degrees(g: Graph) -> tuple[int, ...]:
+    """The pattern degrees, capped within each component, in descending order.
+
+    A component's degrees are taken largest first while their running sum
+    stays within its edge count, the last one cut down to fit, so the list
+    sums to E.  Vertices in one component of E_C edges cover at most E_C of
+    them, and each component's list only shrinks from one entry to the next,
+    so the t largest entries bound the edges any t pattern vertices cover.
+    Cached by the ``Graph``'s value, as ``_build_plan`` is.
+    """
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edge_list:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * g.n
+    capped = []
+    for start in range(g.n):
+        if seen[start] or not adj[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for x in comp:  # BFS: the loop reaches the vertices it appends
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+        degs = sorted((len(adj[x]) for x in comp), reverse=True)
+        room = sum(degs) // 2  # the component's edge count
+        for d in degs:
+            if not room:
+                break
+            capped.append(min(d, room))
+            room -= capped[-1]
+    return tuple(sorted(capped, reverse=True))
+
+
 def _colors_run_out(mat: list[list[int]], class_size: list[int],
-                    color_degree: list[int], degrees: list[int]) -> bool:
+                    color_degree: list[int], capped: tuple[int, ...]) -> bool:
     """Steps t >= 1 of the color-count certificate (module docstring).
 
-    True proves that no rainbow copy of a pattern with these vertex degrees
-    exists; False decides nothing.  Step t = 0 (pigeonhole) is the caller's.
+    ``capped`` is ``_capped_degrees`` of the pattern: its t largest entries
+    bound the pattern edges at the t removed hosts.  True proves that no
+    rainbow copy of the pattern exists; False decides nothing.  Step t = 0
+    (pigeonhole) is the caller's.
     """
-    need = sum(degrees) // 2  # E - (d1 + ... + dt)
+    need = sum(capped)        # E - (c1 + ... + ct)
     kept = len(class_size)    # k_t
     left = class_size[:]
     # sort stability keeps the lower index first among equal color degrees
     hosts = sorted(range(len(mat)), key=color_degree.__getitem__, reverse=True)
-    for t, d in enumerate(sorted(degrees, reverse=True)):
+    for t, d in enumerate(capped):
         need -= d
         if need <= 0:
             return False
@@ -252,9 +302,9 @@ def find_rainbow(coloring: EdgeColoring,
     class_size = [0] * coloring.num_colors
     for c in coloring.colors:
         class_size[c] += 1
-    pdeg = g.degrees()
-    if _colors_run_out(mat, class_size, color_degree, pdeg):
+    if _colors_run_out(mat, class_size, color_degree, _capped_degrees(g)):
         return None
+    pdeg = g.degrees()
     slots, isolated = _build_plan(g)
 
     twin = range(n)  # every host its own class until the first dead end

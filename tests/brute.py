@@ -14,6 +14,7 @@ as references for the library's table-driven ones.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -132,6 +133,12 @@ def brute_q(g: Graph, j: int) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("unreachable: the full vertex set always covers")
 
 
+def fewest_uncovered(g: Graph, size: int) -> int:
+    """Fewest edges avoiding a set of ``size`` vertices, over every such set."""
+    return min(sum(1 for u, v in g.edge_list if u not in chosen and v not in chosen)
+               for chosen in map(set, combinations(range(g.n), size)))
+
+
 def rg_strings(length: int):
     """All restricted-growth strings of the given length.
 
@@ -159,6 +166,7 @@ def random_surjective_coloring(rng: random.Random, n: int,
     return EdgeColoring(n, tuple(relabel[c] for c in cols))
 
 
+@lru_cache
 def iso_classes(num_vertices: int, max_edges: int) -> list[Graph]:
     """One representative per isomorphism class of graphs on exactly
     ``num_vertices`` labeled vertices with 1..max_edges edges.
@@ -166,7 +174,9 @@ def iso_classes(num_vertices: int, max_edges: int) -> list[Graph]:
     The class key is the smallest relabeled edge list over the relabelings
     that list vertices by descending degree.  Isomorphic graphs have the
     same such relabelings, so the key is exact, and the first edge set of
-    each class in ``combinations`` order is its representative.
+    each class in ``combinations`` order is its representative.  Cached, as
+    several test modules scan the same classes; callers must not mutate the
+    returned list.
     """
     universe = list(combinations(range(num_vertices), 2))
     seen: dict[tuple, Graph] = {}

@@ -22,11 +22,13 @@ from antiramsey import (
     clique_coloring,
     cover_coloring,
     find_rainbow,
+    q_cover,
 )
 from antiramsey import rainbow as rainbow_module
 
 from brute import (
     all_distinct,
+    fewest_uncovered,
     first_rainbow,
     iso_classes,
     monochromatic,
@@ -331,15 +333,34 @@ def _refuse(*_args):
     raise _Searched
 
 
+def _cover_hosts(max_n):
+    """(pattern, host, inner colors) for every instance of acceptance
+    criterion 5, on hosts up to K_max_n."""
+    out = []
+    for spec, r1, s in _cover_instances():
+        g = build_pattern(spec)
+        out += [(g, cover_coloring(n, r1, s), s) for n in range(g.n, max_n + 1)]
+    return out
+
+
 def _two_inner_color_instances(max_n):
     """(pattern, host) for every instance of acceptance criterion 5 with two
     inner colors, on hosts up to K_max_n."""
-    out = []
-    for spec, r1, s in _cover_instances():
-        if s == 2:
-            g = build_pattern(spec)
-            out += [(g, cover_coloring(n, r1, s)) for n in range(g.n, max_n + 1)]
-    return out
+    return [(g, coloring) for g, coloring, s in _cover_hosts(max_n) if s == 2]
+
+
+def _uncapped_certificate(coloring, g):
+    """The color-count certificate with the bound d1 + ... + dt on the edges
+    at t removed hosts, the t largest raw degrees, capped at E only over the
+    whole pattern rather than per component."""
+    mat = coloring.color_matrix()
+    color_degree = [len(set(row)) - 1 for row in mat]
+    class_size = [coloring.colors.count(c) for c in range(coloring.num_colors)]
+    room, raw = g.num_edges, []
+    for d in sorted(g.degrees(), reverse=True):
+        raw.append(min(d, room))
+        room -= raw[-1]
+    return rainbow_module._colors_run_out(mat, class_size, color_degree, tuple(raw))
 
 
 def _six_vertex_patterns():
@@ -381,8 +402,8 @@ class TestColorCountCertificate:
                 if g.num_edges <= coloring.num_colors:  # beyond pigeonhole
                     assert not naive_has_rainbow(coloring, g), (g, coloring.colors)
                     past_pigeonhole += 1
-        assert fired > 2500
-        assert past_pigeonhole > 200
+        assert fired >= 2864
+        assert past_pigeonhole >= 244
 
     def test_two_inner_color_covers_settle_without_search(self, monkeypatch):
         monkeypatch.setattr(rainbow_module, "_twin_partition", _refuse)
@@ -394,14 +415,60 @@ class TestColorCountCertificate:
         for pattern, coloring in cases:
             assert find_rainbow(coloring, pattern) is None, (pattern, coloring.n)
 
+    def test_every_cover_coloring_settles_without_search(self, monkeypatch):
+        cases = _cover_hosts(14)
+        assert len(cases) == 463
+        assert {s for _, _, s in cases} == {1, 2}
+        # with uncapped degrees 73 of them, from 16 one-inner-color families
+        # such as C3+4P2, C7+2P2, P4+3P2 and P8+2P2, reach the search
+        assert sum(g.num_edges <= c.num_colors and not _uncapped_certificate(c, g)
+                   for g, c, _ in cases) == 73
+        monkeypatch.setattr(rainbow_module, "_twin_partition", _refuse)
+        monkeypatch.setattr(rainbow_module, "_build_plan", _refuse)
+        for g, coloring, _ in cases:
+            assert find_rainbow(coloring, g) is None, (g, coloring.n)
+
     def test_backtracking_alone_still_proves_absence(self, monkeypatch):
-        monkeypatch.setattr(rainbow_module, "_colors_run_out",
-                            lambda *_args: False)
         cases = _two_inner_color_instances(9)
         # six of the eleven have enough colors to get past pigeonhole
         assert sum(g.num_edges <= c.num_colors for g, c in cases) == 6
-        for g, coloring in cases:
+        # the one-inner-color instances that only the capped degrees settle
+        uncapped_left = [(g, c) for g, c, s in _cover_hosts(9)
+                         if s == 1 and g.num_edges <= c.num_colors
+                         and not _uncapped_certificate(c, g)]
+        assert len(uncapped_left) == 7
+        monkeypatch.setattr(rainbow_module, "_colors_run_out",
+                            lambda *_args: False)
+        for g, coloring in cases + uncapped_left:
             assert find_rainbow(coloring, g) is None, (g, coloring.n)
+
+    def test_capped_degrees_bound_the_uncovered_edges(self):
+        # for every t: E - (t largest raw degrees) <= E - (t largest capped
+        # entries) <= the fewest edges any t pattern vertices leave uncovered
+        classes = iso_classes(6, 15)
+        assert len(classes) == 155  # every graph on at most six vertices
+        flipped = [Graph(6, [(5 - u, 5 - v) for u, v in g.edges]) for g in classes]
+        tighter = 0
+        for g in classes + flipped:
+            capped = rainbow_module._capped_degrees(g)
+            raw = sorted(g.degrees(), reverse=True)
+            e = g.num_edges
+            assert list(capped) == sorted(capped, reverse=True) and sum(capped) == e
+            for t in range(g.n + 1):
+                uncapped_bound, bound = e - sum(raw[:t]), e - sum(capped[:t])
+                assert uncapped_bound <= bound <= fewest_uncovered(g, t), (g, t)
+                tighter += max(uncapped_bound, 0) < bound
+        assert tighter == 10
+
+    def test_capped_degrees_are_exact_on_cover_families(self):
+        # min{j : q_j(G) <= t}, the fewest edges t vertices leave uncovered
+        for spec, _, _ in _cover_instances():
+            g = build_pattern(spec)
+            capped = rainbow_module._capped_degrees(g)
+            q = [q_cover(g, j).value for j in range(g.num_edges + 1)]
+            for t in range(g.n + 1):
+                fewest = min(j for j, value in enumerate(q) if value <= t)
+                assert g.num_edges - sum(capped[:t]) == fewest, (spec, t)
 
 
 _FIRST_HIT_PATTERNS = [
