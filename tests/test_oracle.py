@@ -18,6 +18,7 @@ from antiramsey import (
     Path,
     TriplePath,
     Union,
+    all_edges,
     ar_cycle,
     build_pattern,
     cover_coloring,
@@ -79,12 +80,12 @@ class TestWitness:
     # before vertex 0's star was made canonical, so that re-pinning renames
     # no test; the asserted counts are the current ones
     @pytest.mark.parametrize("spec,nodes", [
-        (Cycle(3), 188),
-        (Matching(3), 11_355),
-        (TriplePath(2), 490),
-        (Cycle(4), 1_155),
-        (Path(4), 127),
-        (Union(Cycle(3), Matching(1)), 5_138),
+        (Cycle(3), 142),
+        (Matching(3), 571),
+        (TriplePath(2), 381),
+        (Cycle(4), 1_111),
+        (Path(4), 119),
+        (Union(Cycle(3), Matching(1)), 496),
     ], ids=["spec0-375", "spec1-17295", "spec2-1281", "spec3-2388",
             "spec4-445", "spec5-10416"])
     def test_node_count_with_packing_pinned_at_n6(self, spec, nodes):
@@ -109,11 +110,11 @@ class TestWitness:
         assert r.witness.colors == tuple(int(ch) for ch in witness)
 
     @pytest.mark.parametrize("spec,ar,nodes", [
-        (Cycle(4), 9, 13_505),
-        (TriplePath(2), 8, 1_188),
-        (Cycle(5), 11, 14_372),
-        (Matching(3), 8, 65_325),
-        (Union(Cycle(3), Matching(1)), 8, 69_552),
+        (Cycle(4), 9, 10_903),
+        (TriplePath(2), 8, 689),
+        (Cycle(5), 11, 11_322),
+        (Matching(3), 8, 462),
+        (Union(Cycle(3), Matching(1)), 8, 1_691),
     ], ids=["spec0-9-55962", "spec1-8-14250", "spec2-11-102419",
             "spec3-8-160208", "spec4-8-188068"])
     def test_conclusive_at_n7_within_250k_nodes(self, spec, ar, nodes):
@@ -125,11 +126,11 @@ class TestWitness:
         assert r.witness.num_colors == ar - 1
 
     @pytest.mark.parametrize("spec,nodes,witness", [
-        (Cycle(3), 1_417, "012345000001111222334"),
-        (Path(3), 144, "010000000000000000000"),
-        (Path(4), 534, "012345666666666666666"),
-        (Matching(2), 80, "000000000000000000000"),
-        (Union(TriplePath(1), Matching(1)), 160, "010000000000000000000"),
+        (Cycle(3), 852, "012345000001111222334"),
+        (Path(3), 88, "010000000000000000000"),
+        (Path(4), 292, "012345666666666666666"),
+        (Matching(2), 22, "000000000000000000000"),
+        (Union(TriplePath(1), Matching(1)), 73, "010000000000000000000"),
     ], ids=["spec0-5822-012345000001111222334", "spec1-1097-010000000000000000000",
             "spec2-4181-012345666666666666666", "spec3-983-000000000000000000000",
             "spec4-4561-010000000000000000000"])
@@ -155,18 +156,26 @@ class TestWitness:
 class TestHostK8:
     # the ceiling lifted for these runs only.  The witnesses are the ones the
     # search found before vertex 0's star was made canonical (C4 then took
-    # 2,780,021 nodes, over this budget)
-    # the ids are those from before the node counts were pinned, so that
-    # pinning them renamed no test
+    # 2,780,021 nodes, over this budget) and, for the last five rows, before
+    # the dead-edge cut and vertex 1's row rule (each then took 0.3-1.3 M
+    # nodes); a witness string holds one hex digit per edge
+    # the ids of the first four rows are those from before the node counts
+    # were pinned, so that pinning them renamed no test
     @pytest.mark.parametrize("family,ar,nodes,witness", [
-        ("C3", 8, 21_087, "0123456000000111112222333445"),
-        ("P4", 3, 254, "0100000000000000000000000000"),
-        ("2P3", 9, 8_341, "0123456777777777777777777777"),
-        ("C4", 10, 295_732, "0123400000056722001100100008"),
+        ("C3", 8, 9_358, "0123456000000111112222333445"),
+        ("P4", 3, 142, "0100000000000000000000000000"),
+        ("2P3", 9, 2_661, "0123456777777777777777777777"),
+        ("C4", 10, 142_780, "0123400000056722001100100008"),
+        ("3P2", 9, 913, "0123456777777777777777777777"),
+        ("C3+1P2", 9, 10_777, "0123456777777777777777777777"),
+        ("P3+2P2", 9, 4_130, "0123456777777777777777777777"),
+        ("P4+1P2", 9, 2_149, "0123456777777777777777777777"),
+        ("P4+1P3", 12, 22_694, "0123400000000567008900a00000"),
     ], ids=["C3-8-0123456000000111112222333445",
             "P4-3-0100000000000000000000000000",
             "2P3-9-0123456777777777777777777777",
-            "C4-10-0123400000056722001100100008"])
+            "C4-10-0123400000056722001100100008",
+            "3P2-9", "C3+1P2-9", "P3+2P2-9", "P4+1P2-9", "P4+1P3-12"])
     def test_settled_at_n8(self, family, ar, nodes, witness, monkeypatch):
         monkeypatch.setattr(oracle, "HARD_CEILING", 8)
         spec = parse_family(family)
@@ -174,8 +183,9 @@ class TestHostK8:
         assert r.conclusive
         assert r.ar_exact == ar
         assert r.nodes_explored == nodes
-        assert r.witness.colors == tuple(int(ch) for ch in witness)
+        assert r.witness.colors == tuple(int(ch, 16) for ch in witness)
         assert find_rainbow(r.witness, spec) is None
+        assert not naive_has_rainbow(r.witness, build_pattern(spec))
 
 
 def _renormalize(seq):
@@ -207,6 +217,45 @@ class TestStarRule:
                          for perm in permutations(range(length))),
                         key=_search_key)
             assert canonical == (seq == least), seq
+
+
+def _swap(seq, n, u, w):
+    # the coloring with host vertices u and w exchanged, in normal form
+    edges = all_edges(n)
+    rank = {e: r for r, e in enumerate(edges)}
+    to = {u: w, w: u}
+    return _renormalize(seq[rank[tuple(sorted((to.get(a, a), to.get(b, b))))]]
+                        for a, b in edges)
+
+
+class TestRowRule:
+    def test_every_rejected_k5_coloring_has_an_earlier_swap(self):
+        # at edge (1, w), each u in 2 .. w - 1 whose star edges (0, u) and
+        # (0, w) share a color, and whose edge (1, u) reused an id a, allows
+        # the ids c with a <= c that are open before (1, u); the rule allows
+        # what every such u allows.  Each u that rejects a coloring must
+        # map it, by the swap of u and w, to a strictly earlier one
+        n = 5
+        rejected = 0
+        for seq in rg_strings(10):
+            for i in range(n - 1, 2 * n - 3):  # the edges (1, 2) .. (1, n - 1)
+                w = i - n + 3
+                window = oracle._row_window(list(seq[:i]), n)
+                kept = window is None or window[0] <= seq[i] < window[1]
+                rejecters = []
+                for u in range(2, w):
+                    a, before = seq[n + u - 3], seq[:n + u - 3]  # at (1, u)
+                    if seq[u - 1] == seq[w - 1] and a in before \
+                            and not (a <= seq[i] and seq[i] in before):
+                        rejecters.append(u)
+                assert kept == (not rejecters), (seq, i)
+                for u in rejecters:
+                    assert _search_key(_swap(seq, n, u, w)) < _search_key(seq), \
+                        (seq, i, u)
+                if not kept:
+                    rejected += 1
+                    break
+        assert rejected == 18_659
 
 
 class TestWitnessWithOneEntryMemo(TestWitness):
@@ -269,7 +318,7 @@ class TestClassSweep:
     # star was made canonical, and a sound rule keeps it
     GRID = ((2, 1), (3, 3), (4, 6), (5, 6), (6, 4))  # (vertices, max edges)
     WITNESSES = "2ae9393493e62943a054acdaad6c39a36e15e9e3cb1411d0a17a7dbc3a8fb463"
-    NODES = "52658768ba6617aa44fe5b609b409a264fd52c27ec7aef5ff347f73a38d65292"
+    NODES = "59b3ac321c6cdf65cc2347e1452fdf2fd0fb8b57afc2e476e0b845588c2b2cc9"
 
     def test_sweep_pinned(self):
         rows = []
@@ -284,7 +333,7 @@ class TestClassSweep:
                     nodes.append(r.nodes_explored)
         assert len(rows) == 114
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.WITNESSES
-        assert sum(nodes) == 200_330
+        assert sum(nodes) == 124_106
         assert hashlib.sha256(repr(nodes).encode()).hexdigest() == self.NODES
 
 
@@ -394,11 +443,11 @@ class TestRefusalOrder:
 
 class TestBudget:
     def test_inconclusive_result_carries_lower_bound(self):
-        # C3 on K6 finishes in 188 nodes
-        r = max_rainbow_free(6, Cycle(3), node_budget=150)
+        # C3 on K6 finishes in 142 nodes
+        r = max_rainbow_free(6, Cycle(3), node_budget=100)
         assert not r.conclusive
         assert r.ar_exact is None
-        assert r.nodes_explored == 150
+        assert r.nodes_explored == 100
         if r.witness is not None:
             assert find_rainbow(r.witness, Cycle(3)) is None
             assert r.witness.num_colors == r.max_rainbow_free_colors
