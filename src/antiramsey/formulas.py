@@ -125,8 +125,17 @@ def ar_path(n: int, k: int) -> BoundReport:
 
     ``(floor(k/2) - 1) * (n - floor(k/2)/2) + 2 + (k mod 2)``.  For k >= 4
     this is an asymptotic result whose exact small-n cutoff is not pinned
-    down, so the report carries a caveat tag; the exhaustive oracle is the
-    ground truth at small n.  For k = 2 the value 2 is elementary.
+    down, so the report carries a caveat tag and flags neither ``exact`` nor
+    ``upper`` valid; the exhaustive oracle is the ground truth at small n.
+    Its lower bound is flagged valid at every n: the formula, because the
+    cover coloring with floor(k/2) - 1 cover hosts and 1 + (k mod 2) inner
+    colors has one color fewer and q_{1 + (k mod 2)}(P) = floor(k/2); and
+    ``C(k-1, 2) + 2``, because ``clique_coloring(n, k - 1)`` has one color
+    fewer and no rainbow copy: a copy has two vertices off the clique, each
+    on its own path edge of the shared color.  That second bound is larger
+    on a window of small n (AR(8, P8) >= 17 against the formula's 16), and
+    the report then carries the ``path-clique-lower`` tag.  For k = 2 the
+    value 2 is elementary.
 
     For k = 3 the value 3 holds for n >= 5 only.  Two colors never give a
     rainbow 3-edge path.  Three colors force one: if xyz is a rainbow
@@ -145,9 +154,13 @@ def ar_path(n: int, k: int) -> BoundReport:
     half = k // 2
     value = (half - 1) * (Fraction(2 * n) - half) / 2 + 2 + k % 2
     tags = ["path-closed-form"]
-    if k >= 4:
-        tags.append("large-n-window-unverified")
-    return _exact_report(Path(k), n, value, k != 3 or n >= 5, tags)
+    if k < 4:
+        return _exact_report(Path(k), n, value, k != 3 or n >= 5, tags)
+    tags.append("large-n-window-unverified")
+    clique_lower = Fraction(comb(k - 1, 2) + 2)
+    if clique_lower > value:
+        tags.append("path-clique-lower")
+    return _exact_report(Path(k), n, value, False, tags, extra_lower=clique_lower)
 
 
 def ar_cycle(n: int, k: int) -> BoundReport:

@@ -13,7 +13,7 @@ of the edge set and the text format records ``n`` explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,45 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Place ``b`` after ``a`` on consecutive vertex blocks."""
     shifted = {(u + a.n, v + a.n) for u, v in b.edges}
     return Graph(a.n + b.n, a.edges | shifted)
+
+
+@lru_cache
+def _capped_degrees(g: Graph) -> tuple[int, ...]:
+    """The pattern degrees, capped within each component, in descending order.
+
+    A component's degrees are taken largest first while their running sum
+    stays within its edge count, the last one cut down to fit, so the list
+    sums to E.  Vertices in one component of E_C edges cover at most E_C of
+    them, and each component's list only shrinks from one entry to the next,
+    so the t largest entries bound the edges any t pattern vertices cover.
+    Cached by the ``Graph``'s value, as ``rainbow._build_plan`` is.  The
+    color-count certificate in ``rainbow`` and ``q_cover``'s start size both
+    rest on this bound.
+    """
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edge_list:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * g.n
+    capped = []
+    for start in range(g.n):
+        if seen[start] or not adj[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for x in comp:  # BFS: the loop reaches the vertices it appends
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+        degs = sorted((len(adj[x]) for x in comp), reverse=True)
+        room = sum(degs) // 2  # the component's edge count
+        for d in degs:
+            if not room:
+                break
+            capped.append(min(d, room))
+            room -= capped[-1]
+    return tuple(sorted(capped, reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -12,22 +12,26 @@ uncovered, so it settles those colorings without search.
 
 The default strategy enumerates subsets in ascending cardinality (bitmask
 incidence, first hit in ``itertools.combinations`` order is the lex-smallest
-witness), starting at ``ceil((m - j) / max_deg)``: one vertex covers at most
-max_deg of the m edges.  Pattern graphs here are small with tiny optimal
-covers, so that is usually instant.  When a cardinality has too many subsets
-to scan, a depth-first search visits the same sets in the same order, one
-stack frame per pick, and cuts a branch once its picks left cannot reach
-the edges still needed or more than j edges join two passed-over vertices;
-its first hit is the lex-smallest witness directly.
+witness), starting at the fewest t whose t largest capped degrees
+(``graphs._capped_degrees``) sum to at least m - j: t vertices cover at most
+that many of the m edges, so no smaller set leaves at most j uncovered.
+Each capped entry is at most the largest degree, so this start is never
+below ``ceil((m - j) / max_deg)``, and on paths, cycles and their disjoint
+unions it is q_j itself: the scan opens at the answer's size.  When a
+cardinality has too many subsets to scan, a depth-first search visits the
+same sets in the same order, one stack frame per pick, and cuts a branch
+once its picks left cannot reach the edges still needed or more than j
+edges join two passed-over vertices; its first hit is the lex-smallest
+witness directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
-from .graphs import Graph, PatternSpec, build_pattern
+from .graphs import Graph, PatternSpec, _capped_degrees, build_pattern
 
 # Max number of subsets to scan per cardinality before switching to the
 # pick-by-pick search, ``_lex_cover``.
@@ -104,8 +108,9 @@ def q_cover(pattern: PatternSpec, j: int) -> QResult:
         return QResult(j, 0, ())
     masks = _incidence_masks(g)
     active = [v for v in range(g.n) if masks[v]]
-    max_deg = max(int.bit_count(masks[v]) for v in active)
-    lower = max(0, -(-(m - j) // max_deg))
+    # the capped entries sum to m >= m - j, so some prefix reaches it
+    lower = next(t for t, covered in enumerate(accumulate(_capped_degrees(g)), 1)
+                 if covered >= m - j)
     # the loop always returns: all active vertices together cover every edge
     for size in range(lower, len(active) + 1):
         if comb(len(active), size) <= _ENUM_LIMIT:

@@ -10,7 +10,8 @@ Search organization:
   edge count E and its degrees capped per component: each component's
   degrees, largest first, while their running sum stays within its edge
   count, the last one cut down to fit.  Merged in descending order they
-  read c1 >= c2 >= ... and sum to E.  A t-set of pattern vertices covers at
+  read c1 >= c2 >= ... and sum to E (``graphs._capped_degrees``, which
+  also sets ``q_cover``'s start size).  A t-set of pattern vertices covers at
   most min(E_C, its largest degrees in C) edges of each component C; each
   component's capped list only shrinks, so the best split of t is the t
   largest merged entries, and c1 + ... + ct bounds the edges it covers.
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .colorings import EdgeColoring
-from .graphs import Graph, PatternSpec, build_pattern
+from .graphs import Graph, PatternSpec, _capped_degrees, build_pattern
 
 
 @dataclass(frozen=True)
@@ -166,51 +167,14 @@ def _twin_partition(mat: list[list[int]], class_size: list[int]) -> list[int]:
 # Color-count certificate
 # ---------------------------------------------------------------------------
 
-@lru_cache
-def _capped_degrees(g: Graph) -> tuple[int, ...]:
-    """The pattern degrees, capped within each component, in descending order.
-
-    A component's degrees are taken largest first while their running sum
-    stays within its edge count, the last one cut down to fit, so the list
-    sums to E.  Vertices in one component of E_C edges cover at most E_C of
-    them, and each component's list only shrinks from one entry to the next,
-    so the t largest entries bound the edges any t pattern vertices cover.
-    Cached by the ``Graph``'s value, as ``_build_plan`` is.
-    """
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edge_list:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    capped = []
-    for start in range(g.n):
-        if seen[start] or not adj[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        for x in comp:  # BFS: the loop reaches the vertices it appends
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-        degs = sorted((len(adj[x]) for x in comp), reverse=True)
-        room = sum(degs) // 2  # the component's edge count
-        for d in degs:
-            if not room:
-                break
-            capped.append(min(d, room))
-            room -= capped[-1]
-    return tuple(sorted(capped, reverse=True))
-
-
 def _colors_run_out(mat: list[list[int]], class_size: list[int],
                     color_degree: list[int], capped: tuple[int, ...]) -> bool:
     """Steps t >= 1 of the color-count certificate (module docstring).
 
-    ``capped`` is ``_capped_degrees`` of the pattern: its t largest entries
-    bound the pattern edges at the t removed hosts.  True proves that no
-    rainbow copy of the pattern exists; False decides nothing.  Step t = 0
-    (pigeonhole) is the caller's.
+    ``capped`` is ``graphs._capped_degrees`` of the pattern: its t largest
+    entries bound the pattern edges at the t removed hosts.  True proves
+    that no rainbow copy of the pattern exists; False decides nothing.  Step
+    t = 0 (pigeonhole) is the caller's.
     """
     need = sum(capped)        # E - (c1 + ... + ct)
     kept = len(class_size)    # k_t

@@ -401,4 +401,4 @@ class TestOutputBytes:
             assert f'"status": "{status}"' in text, status
         assert '"found": true' in text and '"found": false' in text
         assert hashlib.sha256(text.encode()).hexdigest() \
-            == "2649b419ac549f01a84ba7ed58707d4eb39b72f07196f04520414d709c41e2ae"
+            == "5f0eef394d31a872574b6fbf037f5d2cda54df89943413fdc93765e046e2ce1f"

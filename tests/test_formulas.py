@@ -20,14 +20,17 @@ from antiramsey import (
     ar_matching,
     ar_path,
     build_pattern,
+    clique_coloring,
     cover_coloring,
     cover_lower_bound,
     cycle_matching_bounds,
     family_name,
+    find_rainbow,
     integer_bounds,
     linear_form,
     matching_step_threshold,
     path_matching_bounds,
+    q_cover,
     transfer_upper_bound,
     triples_step_threshold,
 )
@@ -44,9 +47,23 @@ class TestPath:
         (5, 3, 3),
     ])
     def test_values(self, n, k, expected):
+        # from k = 4 on the closed form is asymptotic: no checked window
         rep = ar_path(n, k)
         assert rep.exact == expected
-        assert rep.valid["exact"]
+        assert rep.valid["exact"] == (k < 4)
+        assert rep.valid["lower"] and ("upper" in rep.valid) == (k < 4)
+
+    @pytest.mark.parametrize("n,k,lower", [
+        (8, 7, 17), (10, 9, 30), (11, 10, 38), (12, 11, 47), (13, 11, 47),
+        (13, 12, 57),
+    ])
+    def test_clique_lower_bound_where_it_beats_the_formula(self, n, k, lower):
+        # clique_coloring(n, k - 1) has C(k-1, 2) + 1 colors and no rainbow
+        # path with k edges, above the closed form on these hosts
+        rep = ar_path(n, k)
+        assert rep.exact < lower == comb(k - 1, 2) + 2
+        assert rep.lower == lower and rep.valid == {"lower": True, "exact": False}
+        assert "path-clique-lower" in rep.provenance
 
     def test_three_edge_path_on_k4_not_valid(self):
         # K4's three perfect matchings in three colors have no rainbow P4,
@@ -56,11 +73,25 @@ class TestPath:
         assert not rep.valid["exact"]
         assert rep.valid["lower"]
 
+    def test_lower_bound_beats_the_clique_coloring(self):
+        # the lower bound flagged valid sits above a coloring that
+        # find_rainbow certifies, on every path and host up to 13 vertices
+        for k in range(4, 13):
+            g = build_pattern(Path(k))
+            for n in range(k + 1, 14):
+                coloring = clique_coloring(n, k - 1)
+                assert find_rainbow(coloring, g) is None, (k, n)
+                rep = ar_path(n, k)
+                assert rep.valid["lower"] and rep.lower > coloring.num_colors, (k, n)
+
     def test_caveat_tag_for_long_paths(self):
         assert "large-n-window-unverified" in ar_path(20, 5).provenance
         assert "large-n-window-unverified" in ar_path(20, 4).provenance
         assert "large-n-window-unverified" not in ar_path(20, 3).provenance
         assert "large-n-window-unverified" not in ar_path(20, 2).provenance
+        # the clique bound's tag only where it beats the closed form
+        assert "path-clique-lower" not in ar_path(14, 11).provenance
+        assert ar_path(14, 11).lower == ar_path(14, 11).exact == 49
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -455,3 +486,55 @@ class TestOrderingInvariants:
                 for n in range(2 * t + k + 1, 120):
                     rep = path_matching_bounds(n, k, t)
                     assert rep.upper - rep.lower == 1, (k, t, n)
+
+
+def _family_shapes(max_vertices: int):
+    """Every pattern on at most ``max_vertices`` vertices of the shape
+    ``ar_family`` dispatches on: one optional longer path or cycle, t single
+    edges, k two-edge paths.  Not every one is recognized."""
+    bigs = [None, *map(Path, range(3, max_vertices)),
+            *map(Cycle, range(3, max_vertices + 1))]
+    for big in bigs:
+        for t in range(max_vertices // 2 + 1):
+            for k in range(max_vertices // 3 + 1):
+                parts = [big] if big else []
+                parts += [Matching(t)] if t else []
+                parts += [TriplePath(k)] if k else []
+                if not parts:
+                    continue
+                spec = parts[0] if len(parts) == 1 else Union(*parts)
+                if build_pattern(spec).n <= max_vertices:
+                    yield spec
+
+
+class TestValidFlagsAgainstConstructions:
+    def test_no_certified_coloring_beats_a_valid_exact_or_upper(self):
+        # a coloring with c colors and no rainbow copy proves AR >= c + 1:
+        # the cover colorings at r = q_s - 1, and on paths the clique coloring
+        # on k - 1 hosts, each certified by find_rainbow, at |V| <= n <= 13
+        broken, checked = [], 0
+        for spec in _family_shapes(13):
+            g = build_pattern(spec)
+            q = {s: q_cover(g, s).value for s in (1, 2, 3)}
+            for n in range(g.n, 14):
+                try:
+                    rep = ar_family(n, spec)
+                except ValueError:  # unrecognized, or no closed form at n
+                    continue
+                caps = [rep.exact] if rep.valid.get("exact") else []
+                if rep.valid.get("upper"):
+                    caps.append(integer_bounds(rep)[1])
+                if not caps:
+                    continue
+                colorings = [cover_coloring(n, q[s] - 1, s) for s in q
+                             if q[s] >= 1 and comb(n - q[s] + 1, 2) >= s]
+                if isinstance(spec, Path):
+                    colorings.append(clique_coloring(n, spec.k - 1))
+                for coloring in colorings:
+                    assert find_rainbow(coloring, g) is None, (spec, n)
+                    checked += 1
+                    if coloring.num_colors + 1 > min(caps):
+                        broken.append(f"{family_name(spec)}@{n}")
+        assert checked > 300
+        assert broken == []
+

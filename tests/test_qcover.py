@@ -1,5 +1,6 @@
 """The cover parameter q_j against brute force and its closed forms."""
 
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,8 @@ from antiramsey import (
 )
 from antiramsey import qcover as qcover_module
 
-from brute import brute_q, cover_by_counting
+from brute import brute_q, cover_by_counting, iso_classes
+from test_acceptance import _cover_instances
 
 
 def pat(spec) -> Graph:
@@ -268,3 +270,112 @@ class TestLargeCovers:
         ]
         for spec, value, witness in deep:
             assert q_cover(spec, 0) == qcover_module.QResult(0, value, witness), spec
+
+
+# The benchmark's 20-40-vertex disjoint unions (qcover-unions workload).
+LARGE_UNIONS = ("P10+6P3+5P2", "P8+5P3+4P2", "C9+3P3+3P2", "P7+6P3",
+                "C8+5P3+2P2", "P9+3P3+4P2", "C7+4P3+2P2", "P5+P6+P7+2P3+2P2",
+                "C10+2P3+5P2")
+
+
+@pytest.fixture
+def sizes_tried(monkeypatch):
+    """Every set size that q_cover's subset scan or pick search is asked for,
+    in order."""
+    tried = []
+    lex_cover = qcover_module._lex_cover
+
+    def scan(items, size):
+        tried.append(size)
+        return itertools.combinations(items, size)
+
+    def pick(active, masks, m, j, size):
+        tried.append(size)
+        return lex_cover(active, masks, m, j, size)
+
+    monkeypatch.setattr(qcover_module, "combinations", scan)
+    monkeypatch.setattr(qcover_module, "_lex_cover", pick)
+    return tried
+
+
+class TestStartSize:
+    """The scan starts at the fewest t whose t largest capped degrees reach
+    m - j: never below ceil((m - j) / max_deg), never above q_j."""
+
+    def test_start_lies_between_the_old_start_and_q(self, sizes_tried):
+        classes = iso_classes(6, 15)
+        assert len(classes) == 155  # every graph on at most six vertices
+        flipped = [Graph(6, [(5 - u, 5 - v) for u, v in g.edges]) for g in classes]
+        raised = 0
+        for g in classes + flipped:
+            m, max_deg = g.num_edges, max(g.degrees())
+            for j in range(m):
+                sizes_tried.clear()
+                res = q_cover(g, j)
+                old = -(-(m - j) // max_deg)
+                assert old <= sizes_tried[0] <= brute_q(g, j)[0] == res.value, (g, j)
+                raised += old < sizes_tried[0]
+        assert raised > 0
+
+    def test_scan_opens_at_q_on_path_and_cycle_unions(self, sizes_tried):
+        # exact on paths, cycles and their unions: no size below q_j is tried
+        specs = [spec for spec, _, _ in _cover_instances()]
+        specs += map(parse_family, LARGE_UNIONS)
+        for spec in specs:
+            g = build_pattern(spec)
+            for j in range(min(4, g.num_edges)):
+                sizes_tried.clear()
+                res = q_cover(g, j)
+                assert sizes_tried == [res.value], (spec, j, sizes_tried)
+
+
+def _components(spec):
+    """The connected components of a parsed family, one spec each."""
+    for part in spec.parts if isinstance(spec, Union) else (spec,):
+        if isinstance(part, Matching):
+            yield from [Matching(1)] * part.t
+        elif isinstance(part, TriplePath):
+            yield from [TriplePath(1)] * part.k
+        else:
+            yield part
+
+
+def convolved_q(spec, j: int) -> int:
+    """q_j of a disjoint union as the min-plus convolution of its
+    components' brute-force q profiles."""
+    best = [0] * (j + 1)  # the empty union
+    for comp in _components(spec):
+        g = build_pattern(comp)
+        prof = [brute_q(g, i)[0] for i in range(j + 1)]
+        best = [min(best[i - a] + prof[a] for a in range(i + 1)) for i in range(j + 1)]
+    return best[j]
+
+
+class TestScanRegimeUnions:
+    """Unions whose sizes below q_j were most of the subset scan's cost:
+    C9+3P3+3P2 at j = 1 walked all 1,307,504 9-sets before its first
+    10-set.  Values and witnesses are pinned; each value is also the
+    convolution of the components' brute-force profiles."""
+
+    def test_pinned_values_and_witnesses(self):
+        c9 = (0, 1, 3, 5, 7, 10, 13, 16, 18, 20, 22)
+        p7_odd = (1, 3, 5, 8, 11, 14, 17, 20, 23)
+        p7_even = (0, 2, 4, 8, 11, 14, 17, 20, 23)
+        cases = [
+            ("C9+3P3+3P2", 0, c9),
+            ("C9+3P3+3P2", 1, c9[:10]),
+            ("C9+3P3+3P2", 2, c9[:9]),
+            ("C9+3P3+3P2", 3, c9[:8]),
+            ("P7+6P3", 0, p7_odd),
+            ("P7+6P3", 1, p7_even),
+            ("P7+6P3", 2, p7_odd[:8]),
+            ("P7+6P3", 3, p7_even[:8]),
+            ("C7+4P3+2P2", 2, (0, 1, 3, 5, 8, 11, 14, 17)),
+            ("C7+4P3+2P2", 3, (0, 2, 4, 8, 11, 14, 17)),
+        ]
+        for family, j, witness in cases:
+            spec = parse_family(family)
+            assert q_cover(spec, j) == qcover_module.QResult(
+                j, len(witness), witness), (family, j)
+            assert convolved_q(spec, j) == len(witness), (family, j)
+
