@@ -22,14 +22,12 @@ automatically surjective.  Depth-first branch and bound:
   incumbents appear early, which is what makes the bound bite.
 
 Every piece of search state is a set of placements.  All placements of the
-pattern are enumerated and numbered once, component by component (each
-connected component's distinct copies on its own vertex count are found
-once, then carried onto disjoint vertex subsets of the host, so no edge set
-is built twice), and a set of them is a bit mask over those numbers.  A
-frame carries four things: the edge i it colors, the number of colors open,
-the bit mask of blocked edges and the placements whose colored edges carry
-distinct colors (``alive``); each color id keeps the placements holding it
-(``tinted``).
+pattern are enumerated once and numbered by their sorted edge-rank tuples,
+the descending order of one int key each (``_placement_index``); a set of
+them is a bit mask over those numbers.  A frame carries four things: the
+edge i it colors, the number of colors open, the bit mask of blocked edges
+and the placements whose colored edges carry distinct colors (``alive``);
+each color id keeps the placements holding it (``tinted``).
 The rainbow check is one mask test: coloring edge i with c completes a
 rainbow copy exactly when some live placement has largest rank i (it
 *closes* on i) and holds no edge of color c.  Blocking is tracked
@@ -42,11 +40,11 @@ opens a color.
 
 Which edges a color try blocks depends only on the child's live placements
 among those whose second-largest rank is i (``reach[i]``), and those sets
-repeat: C4 at n = 7 looks up 2,711 distinct ones 43,803 times.  Each call
-therefore keeps one memo per depth, from that set to the edges it blocks.
-A memo holds at most ``_MEMO_CAP`` entries, and a miss on a full one
-empties it first, so the tables' memory is bounded whatever the search
-does.
+repeat: C4 at n = 7 (10,903 nodes) looks up 851 distinct depth and set
+pairs 6,771 times.  Each call therefore keeps one memo per depth, from that
+set to the edges it blocks.  A memo holds at most ``_MEMO_CAP`` entries, and
+a miss on a full one empties it first, so the tables' memory is bounded
+whatever the search does.
 
 The packing bound tightens the blocked-edge bound by one for each placement
 in a greedy packing (the "disjoint inconsistent subsets" bound of Max-SAT
@@ -162,7 +160,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 from operator import or_
 
 from .colorings import EdgeColoring, all_edges
@@ -202,8 +200,9 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
     * ``last[e]``: the placements whose largest rank is e.  When edge e is
       next to color every other edge of these is colored;
     * ``near[i]``: ``(1 << e, set)`` pairs, the placements whose
-      second-largest rank is i grouped by their largest rank e.  Once edge
-      i is colored each has one uncolored edge left, e;
+      second-largest rank is i grouped by their largest rank e, in the
+      order of each e's first placement.  Once edge i is colored each has
+      one uncolored edge left, e;
     * ``reach[i]``: the placements whose second-largest rank is i, the
       union of near[i]'s sets.  Of a child's live placements, those within
       reach[i] decide which edges coloring i blocks.
@@ -212,33 +211,40 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
     is rainbow, so it closes on its edge at every frame and the search
     never opens a color.
 
-    Placements are built component by component; only the edge set of a
-    copy matters for rainbow-ness.  A connected component on c vertices has
-    local placements: the distinct edge sets of its copies on host vertices
-    0 .. c - 1, found once from its c! vertex maps.  Two components are
-    copies of each other exactly when their local placement sets are equal,
-    and such copies form one kind.  The k copies of a kind take blocks of c
-    unused host vertices in increasing order of smallest vertex: a block's
-    other vertices lie above its smallest one v, and at least c times the
-    copies still to come stay unused above v, so no choice is a dead end.
-    The increasing map j -> S[j] carries the local placements onto a block
-    S with their ranks still sorted, and a placement of g is one carried
-    local placement per block.  Each edge set arises once: its components
-    are connected and pairwise vertex-disjoint, so their vertex sets,
-    ordered by smallest vertex within each kind, are the blocks, and the
-    edges on a block fix the local placement.  The work therefore grows
-    with the number of placements, not with the n!/(n - v)! vertex maps.
-    Vertices of degree zero are ignored (they never constrain a copy
-    when the host is large enough, which the caller checks).
+    A placement is one int key, the sum of its edges' keys (``_host``): a
+    top shared by all, the edge mask with its ranks reversed, the mask.
+    Where two sorted rank tuples of g's size first differ, the smaller rank
+    is the highest bit where the reversed masks differ, so descending key
+    order is the numbering.  ``bin`` of each key has one width and reads
+    ranks 0 .. m - 1 left to right; joined in ascending order, the column
+    of rank e is one string slice, whose ``int(..., 2)`` is ``through[e]``.
+    One pass down the ranks keeps the placements with at least one and two
+    edges above e, which give ``last[e]`` and ``reach[e]``; a group of
+    ``near[e]`` is ``reach[e] & last[f]``, f its first placement's last rank.
+
+    A connected component on c vertices has local placements: the distinct
+    edge sets of its copies on host vertices 0 .. c - 1, found once from
+    its c! vertex maps.  Components with equal local placement sets are
+    copies of one kind.  The increasing map j -> S[j] carries the local
+    placements onto each block S of c host vertices.  The k copies of a
+    kind take pairwise disjoint blocks in increasing order of smallest
+    vertex v, each leaving at least c unused vertices above v per copy
+    still to come, so no choice is a dead end; partial placements on the
+    same vertices (and the same last v within a kind) grow together.  An
+    edge set arises once: its components are connected and pairwise
+    disjoint, so their vertex sets, ordered by smallest vertex within each
+    kind, are the blocks, and the edges on a block fix the local placement.
+    Vertices of degree zero are ignored (they never constrain a copy when
+    the host is large enough, which the caller checks).
     """
     m = n * (n - 1) // 2
-    rank, pair_bit = _host(n)[:2]
+    full = (1 << m) - 1
+    edges, edge_key = _host(n)[:2]
     adj: dict[int, list[int]] = {}
     for u, v in g.edge_list:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    # per kind of component, keyed by the edge masks of its local
-    # placements: its vertex count and its number of copies in g
+    # kind of component, by its local placements' keys -> [vertices, copies]
     kinds: dict[frozenset[int], list[int]] = {}
     seen: set[int] = set()
     for root in adj:
@@ -253,92 +259,86 @@ def _placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
                     comp.append(w)
         cedges = [(comp.index(u), comp.index(v)) for u, v in g.edge_list
                   if u in comp]
-        key = frozenset(sum([pair_bit[p[a]][p[b]] for a, b in cedges])
+        key = frozenset(sum([edge_key[p[a]][p[b]] for a, b in cedges])
                         for p in permutations(range(len(comp))))
         kinds.setdefault(key, [len(comp), 0])[1] += 1
-    # placements kind by kind, each with the vertices it leaves unused and
-    # the smallest vertex of its last block.  A kind's copies take their
-    # blocks in increasing order of smallest vertex, each leaving room for
-    # the rest above its own
-    placements = [((), 0, tuple(range(n)), -1)]
+    # (used vertices, smallest vertex of the kind's last block or -1) -> keys
+    states = {(0, -1): [0]}
     for key, (c, k) in kinds.items():
-        # per block s: the local placements carried onto it by j -> s[j],
-        # an increasing map, so their ranks stay sorted; on the block
-        # 0 .. c - 1 the map is the identity
-        local = [(_ranks(mask), mask) for mask in key]
-        carried = {tuple(range(c)): local}
-        for s in combinations(range(n), c):
-            if s not in carried:
-                image = {rank[a][b]: (rank[s[a]][s[b]], pair_bit[s[a]][s[b]])
-                         for a, b in combinations(range(c), 2)}
-                carried[s] = [(tuple([image[r][0] for r in ranks]),
-                               sum([image[r][1] for r in ranks]))
-                              for ranks, _ in local]
+        # per block s, the keys of the local placements carried by j -> s[j]:
+        # one column per local edge (a, b) over the blocks after 0 .. c - 1
+        blocks = list(combinations(range(n), c))
+        parts = [tuple(key)]
+        if c < n:
+            cols = {r: [edge_key[s[a]][s[b]] for s in blocks[1:]]
+                    for r, (a, b) in enumerate(edges) if b < c}
+            parts += zip(*[map(sum, zip(*[col for r, col in cols.items()
+                                          if x >> r & 1])) for x in key])
         if len(kinds) == k == 1:  # one component: these are g's placements
-            placements = [placement for part in carried.values()
-                          for placement in part]
+            keys = list(chain.from_iterable(parts))
             break
-        for j in range(k, 0, -1):  # j copies of this kind still to place
-            placements = [
-                (tuple(sorted(ranks + part)) if ranks else part,
-                 mask + part_mask, rest, v)
-                for ranks, mask, left, low in placements
-                for i, v in enumerate(left)
-                if i <= len(left) - j * c and (j == k or v > low)
-                for more in combinations(left[i + 1:], c - 1)
-                for rest in [left[:i] + tuple([x for x in left[i + 1:]
-                                               if x not in more])]
-                for part, part_mask in carried[(v, *more)]]
-    placements.sort()
-    masks = [placement[1] for placement in placements]
-    through = [0] * m
-    last = [0] * m
-    reach = [0] * m
-    groups: list[dict[int, int]] = [{} for _ in range(m)]
-    for p, placement in enumerate(placements):
-        ranks = placement[0]
-        bit = 1 << p
-        for r in ranks:
-            through[r] |= bit
-        last[ranks[-1]] |= bit
-        if len(ranks) > 1:
-            group = groups[ranks[-2]]
-            group[ranks[-1]] = group.get(ranks[-1], 0) | bit
-            reach[ranks[-2]] |= bit
-    near = [[(1 << e, group) for e, group in gs.items()] for gs in groups]
+        carried = dict(zip(blocks, zip(map(sum, combinations(
+            [1 << x for x in range(n)], c)), parts)))
+        # j copies still to place; the else places the last kind's last one
+        for j in range(k, 1 if key is next(reversed(kinds)) else 0, -1):
+            grown: dict[tuple[int, int], list[int]] = {}
+            for (used, low), ks in states.items():
+                left = [x for x in range(low + 1, n) if not used >> x & 1]
+                stop = left[-j * c]  # the last v with j * c unused from v up
+                for s in combinations(left, c):
+                    if s[0] > stop:
+                        break
+                    block, ps = carried[s]
+                    grown.setdefault((used | block, s[0] if j > 1 else -1),
+                                     []).extend([x + y for x in ks for y in ps])
+            states = grown
+    else:  # any c unused vertices above low take the last copy
+        keys = [a + b for (used, low), ks in states.items()
+                for s in combinations([x for x in range(low + 1, n)
+                                       if not used >> x & 1], c)
+                for b in carried[s][1] for a in ks]
+    keys.sort(reverse=True)
+    width = len(bin(keys[0]))
+    # row q is placement P - 1 - q, so bit p of a column's int is placement p
+    table = "".join(map(bin, reversed(keys)))
+    masks = [x & full for x in keys]
+    through, last, reach, near = [0] * m, [0] * m, [0] * m, []
+    one = two = 0  # the placements with at least one, two edges above e
+    for e in range(m - 1, -1, -1):
+        t = through[e] = int(table[width - 2 * m + e::width], 2)
+        last[e] = t & ~one
+        r = reach[e] = t & one & ~two
+        pairs = []
+        while r:  # the group of r's first placement, named by its last rank
+            f = masks[(r & -r).bit_length() - 1].bit_length() - 1
+            pairs.append((1 << f, r & last[f]))
+            r &= ~last[f]
+        near.append(pairs)
+        two |= t & one
+        one |= t
+    near.reverse()
     return masks, through, last, near, reach
 
 
 @lru_cache(maxsize=16)
 def _host(n: int) -> tuple[tuple, tuple, tuple, tuple]:
-    """K_n's tables that depend on n alone: ``(rank, pair_bit, orders, reuses)``.
+    """K_n's tables that depend on n alone: ``(edges, key, orders, reuses)``.
 
-    ``rank[u][v]`` is the rank of edge {u, v} in the lexicographic edge order
-    (-1 on the diagonal) and ``pair_bit[u][v]`` is ``1 << rank[u][v]`` (0 on
-    the diagonal).  ``orders[c]`` and ``reuses[c]`` are the color ids a frame
-    with c colors open tries: the fresh id c, then the open ids in ascending
-    order, and the open ids alone.  Built on first use, never at import, and
-    kept for the 16 most recent host sizes.
+    ``edges[r]`` is the edge of rank r in the lexicographic edge order and
+    ``key[u][v]`` is edge {u, v}'s ``1 << 2m | 1 << (2m - 1 - r) | 1 << r``,
+    r its rank (0 on the diagonal).  ``orders[c]`` and ``reuses[c]`` are the
+    color ids a frame with c colors open tries: the fresh id c, then the
+    open ids in ascending order, and the open ids alone.  Built on first
+    use, never at import, and kept for the 16 most recent host sizes.
     """
     m = n * (n - 1) // 2
-    rank = [[-1] * n for _ in range(n)]
-    pair_bit = [[0] * n for _ in range(n)]
-    for r, (u, v) in enumerate(all_edges(n)):
-        rank[u][v] = rank[v][u] = r
-        pair_bit[u][v] = pair_bit[v][u] = 1 << r
-    return (tuple(map(tuple, rank)), tuple(map(tuple, pair_bit)),
+    edges = all_edges(n)
+    key = [[0] * n for _ in range(n)]
+    for r, (u, v) in enumerate(edges):
+        key[u][v] = key[v][u] = 1 << 2 * m | 1 << (2 * m - 1 - r) | 1 << r
+    return (tuple(edges), tuple(map(tuple, key)),
             tuple((c, *range(c)) for c in range(m + 1)),
             tuple(tuple(range(c)) for c in range(m + 1)))
-
-
-def _ranks(mask: int) -> tuple[int, ...]:
-    """The set bits of an edge mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def _star_tries(star: list[int]) -> tuple[int, ...]:

@@ -356,6 +356,20 @@ class TestDefaultBudget:
                                    (1, 2), (1, 3))
 
 
+def _relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edge_list])
+
+
+def _partitions(sets, whole: int) -> bool:
+    """Whether the bit masks are pairwise disjoint with union ``whole``."""
+    union = 0
+    for s in sets:
+        union |= s
+    return union == whole and sum(s.bit_count() for s in sets) == whole.bit_count()
+
+
 class TestPlacementIndex:
     # the component-by-component index against the injective vertex map walk
     # of brute.placement_index.  iso_classes representatives are the first
@@ -369,12 +383,40 @@ class TestPlacementIndex:
         rng = random.Random(v * 10 + max_edges)
         for g in iso_classes(v, max_edges):
             for _ in range(2):
-                perm = list(range(v))
-                rng.shuffle(perm)
-                h = Graph(v, [(perm[a], perm[b]) for a, b in g.edge_list])
+                h = _relabeled(g, rng)
                 for n in range(v, 8):
                     assert oracle._placement_index(n, h) \
                         == placement_index(n, h), (h, n)
+
+    @pytest.mark.parametrize("v,max_edges", GRID)
+    def test_tables_partition_the_placements(self, v, max_edges):
+        # each placement has one largest rank, one second-largest rank if it
+        # has two or more edges, and one through set per edge; near[i]'s
+        # groups split reach[i] by largest rank, in order of first placement
+        for g in iso_classes(v, max_edges):
+            for n in range(v, 8):
+                masks, through, last, near, reach = oracle._placement_index(n, g)
+                every = (1 << len(masks)) - 1
+                assert _partitions(last, every), (g, n)
+                assert _partitions(reach, every if g.num_edges > 1 else 0), (g, n)
+                assert sum(t.bit_count() for t in through) \
+                    == g.num_edges * len(masks), (g, n)
+                for i, pairs in enumerate(near):
+                    groups = [group for _, group in pairs]
+                    assert _partitions(groups, reach[i]), (g, n, i)
+                    assert groups == sorted(groups, key=lambda s: s & -s)
+                    assert all(group & last[bit.bit_length() - 1] == group
+                               for bit, group in pairs), (g, n, i)
+
+    # unions of two kinds, or of several copies of one, on a host with room
+    # to spare, so copies of a kind compete for the same vertex blocks
+    @pytest.mark.parametrize("family,n", [
+        ("P4+1P3", 8), ("C3+2P2", 8), ("1P3+2P2", 8), ("4P2", 8),
+        ("3P2", 9), ("C3+1P2", 9),
+    ])
+    def test_unions_equal_map_walk_under_relabeling(self, family, n):
+        g = _relabeled(build_pattern(parse_family(family)), random.Random(family))
+        assert oracle._placement_index(n, g) == placement_index(n, g)
 
     def test_two_p3_with_different_labels(self):
         # the two P3s have different labeled edge lists; counted as two
