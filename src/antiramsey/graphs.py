@@ -65,24 +65,20 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 
 
 @lru_cache
-def _capped_degrees(g: Graph) -> tuple[int, ...]:
-    """The pattern degrees, capped within each component, in descending order.
+def _components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """g's components that have an edge, in order of smallest vertex.
 
-    A component's degrees are taken largest first while their running sum
-    stays within its edge count, the last one cut down to fit, so the list
-    sums to E.  Vertices in one component of E_C edges cover at most E_C of
-    them, and each component's list only shrinks from one entry to the next,
-    so the t largest entries bound the edges any t pattern vertices cover.
-    Cached by the ``Graph``'s value, as ``rainbow._build_plan`` is.  The
-    color-count certificate in ``rainbow`` and ``q_cover``'s start size both
-    rest on this bound.
+    Each is a tuple of its vertices in breadth-first order from its
+    smallest one, neighbours taken in ascending order.  Cached by the
+    ``Graph``'s value: ``_capped_degrees``, ``rainbow._build_plan`` and
+    ``oracle._placement_index`` all start from this split.
     """
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edge_list:
+    for u, v in g.edge_list:  # lexicographic, so every adj list ascends
         adj[u].append(v)
         adj[v].append(u)
     seen = [False] * g.n
-    capped = []
+    comps = []
     for start in range(g.n):
         if seen[start] or not adj[start]:
             continue
@@ -93,7 +89,27 @@ def _capped_degrees(g: Graph) -> tuple[int, ...]:
                 if not seen[y]:
                     seen[y] = True
                     comp.append(y)
-        degs = sorted((len(adj[x]) for x in comp), reverse=True)
+        comps.append(tuple(comp))
+    return tuple(comps)
+
+
+@lru_cache
+def _capped_degrees(g: Graph) -> tuple[int, ...]:
+    """The pattern degrees, capped within each component, in descending order.
+
+    A component's degrees are taken largest first while their running sum
+    stays within its edge count, the last one cut down to fit, so the list
+    sums to E.  Vertices in one component of E_C edges cover at most E_C of
+    them, and each component's list only shrinks from one entry to the next,
+    so the t largest entries bound the edges any t pattern vertices cover.
+    Cached by the ``Graph``'s value, as ``_components`` is.  The
+    color-count certificate in ``rainbow`` and ``q_cover``'s start size both
+    rest on this bound.
+    """
+    deg = g.degrees()
+    capped = []
+    for comp in _components(g):
+        degs = sorted((deg[x] for x in comp), reverse=True)
         room = sum(degs) // 2  # the component's edge count
         for d in degs:
             if not room:

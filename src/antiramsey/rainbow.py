@@ -75,7 +75,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .colorings import EdgeColoring
-from .graphs import Graph, PatternSpec, _capped_degrees, build_pattern
+from .graphs import (Graph, PatternSpec, _capped_degrees, _components,
+                     build_pattern)
 
 
 @dataclass(frozen=True)
@@ -208,27 +209,18 @@ def _build_plan(g: Graph):
     value (a frozen dataclass, hashed by ``(n, edges)``), and it returns
     tuples because every call with that pattern shares them.
     """
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edge_list:  # lexicographic, so every adj list ascends
-        adj[u].append(v)
-        adj[v].append(u)
-    pos = [-1] * g.n  # BFS index within the vertex's component
+    # each non-isolated vertex's BFS index within its component
+    pos = {v: i for order in _components(g) for i, v in enumerate(order)}
+    # each vertex's neighbours with a lower BFS index
+    before: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edge_list:  # lexicographic, so every list ascends
+        a, b = (u, v) if pos[u] < pos[v] else (v, u)
+        before[b].append(a)
     comps = []
-    for start in range(g.n):
-        if pos[start] >= 0 or not adj[start]:
-            continue
-        order = [start]
-        pos[start] = 0
-        edges = []
-        for x in order:  # BFS: the loop reaches the vertices it appends
-            for y in adj[x]:
-                if pos[y] < 0:
-                    pos[y] = len(order)
-                    order.append(y)
-                if pos[x] < pos[y]:
-                    edges.append((pos[x], pos[y]))
-        shape = (len(order), tuple(sorted(edges)))
-        comps.append((-len(edges), -len(order), shape, order))
+    for order in _components(g):
+        edges = tuple(sorted((pos[u], i) for i, v in enumerate(order)
+                             for u in before[v]))
+        comps.append((-len(edges), -len(order), (len(order), edges), order))
     # largest-first; identical shapes adjacent so root ordering can bite
     comps.sort()
 
@@ -236,10 +228,9 @@ def _build_plan(g: Graph):
     prev_shape = prev_root = None
     for _, _, shape, order in comps:
         slots.append((order[0], (), prev_root if shape == prev_shape else -1))
-        slots += [(v, tuple(u for u in adj[v] if pos[u] < i), -1)
-                  for i, v in enumerate(order) if i]
+        slots += [(v, tuple(before[v]), -1) for v in order[1:]]
         prev_shape, prev_root = shape, order[0]
-    return tuple(slots), tuple(v for v in range(g.n) if not adj[v])
+    return tuple(slots), tuple(v for v in range(g.n) if v not in pos)
 
 
 # ---------------------------------------------------------------------------

@@ -42,21 +42,22 @@ def naive_has_rainbow(coloring: EdgeColoring, g: Graph) -> bool:
     return False
 
 
-def placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
-                                                list[int], list, list[int]]:
+def placement_index(n: int, g: Graph) -> tuple[list[int], list[int], list[int],
+                                                list, list[int], list[int]]:
     """The oracle's placement index, built from every injective vertex map.
 
     Maps g's non-isolated vertices into K_n in every way, dedups the edge
     sets they give and numbers them by sorted edge-rank tuple.  Each table
-    of ``(masks, through, last, near, reach)`` is then built straight from
-    its definition in ``oracle._placement_index``, as the set of placements
-    that pass its own test:
+    of ``(masks, through, last, near, reach, pair)`` is then built straight
+    from its definition in ``oracle._placement_index``, as the set of
+    placements that pass its own test:
 
     * ``through[e]``: the placements containing edge e;
     * ``last[e]``: those whose largest rank is e;
     * ``reach[i]``: those whose second-largest rank is i;
     * ``near[i]``: reach[i] split by largest rank e, one ``(1 << e, set)``
-      pair per e, in the order of each e's first placement.
+      pair per e, in the order of each e's first placement;
+    * ``pair[i]``: those with exactly two ranks above i.
     """
     pverts = [v for v in range(g.n) if any(v in e for e in g.edges)]
     pos = {v: i for i, v in enumerate(pverts)}
@@ -79,7 +80,9 @@ def placement_index(n: int, g: Graph) -> tuple[list[int], list[int],
              for e in dict.fromkeys(ranks[-1] for ranks in placements
                                     if ranks[-2:-1] == (i,))]
             for i in range(m)]
-    return masks, through, last, near, reach
+    pair = [having(lambda ranks: sum(r > i for r in ranks) == 2)
+            for i in range(m)]
+    return masks, through, last, near, reach, pair
 
 
 def first_rainbow(coloring: EdgeColoring, g: Graph) -> tuple[int, ...] | None:

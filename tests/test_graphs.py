@@ -1,5 +1,6 @@
 """Graphs, pattern construction, and the edge-list text format."""
 
+import random
 import re
 
 import pytest
@@ -22,8 +23,9 @@ from antiramsey import (
     verify_range,
 )
 from antiramsey.cli import _plain
+from antiramsey.graphs import _components
 
-from brute import serialize_graph
+from brute import iso_classes, serialize_graph
 
 
 class TestBuildPattern:
@@ -97,6 +99,73 @@ class TestDegreeProfile:
     def test_sum_is_twice_edges(self):
         g = build_pattern(Union(Path(4), Cycle(5), Matching(2)))
         assert sum(g.degrees()) == 2 * g.num_edges
+
+
+def _union_find_split(g: Graph) -> list[set[int]]:
+    """g's components with an edge, as vertex sets, by union-find."""
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in g.edges:
+        parent[find(u)] = find(v)
+    split: dict[int, set[int]] = {}
+    for u, v in g.edges:
+        split.setdefault(find(u), set()).update((u, v))
+    return sorted(split.values(), key=min)
+
+
+def _relabeled(g: Graph, n: int, rng: random.Random) -> Graph:
+    # g's edges under a random injection into 0 .. n - 1, so the vertices
+    # left over are isolated
+    image = rng.sample(range(n), g.n)
+    return Graph(n, [(image[u], image[v]) for u, v in g.edges])
+
+
+class TestComponents:
+    # a breadth-first order from the smallest vertex, neighbours in
+    # ascending order, is the order by (position of the first neighbour
+    # listed, vertex): each vertex is found by its first-listed neighbour,
+    # and a vertex's neighbours are found in ascending order
+    @staticmethod
+    def _check(g: Graph) -> None:
+        comps = _components(g)
+        assert [set(order) for order in comps] == _union_find_split(g), g
+        assert [order[0] for order in comps] == sorted(map(min, comps)), g
+        degree = g.degrees()
+        for order in comps:
+            assert len(set(order)) == len(order), g
+            assert order[0] == min(order), g
+            assert all(degree[v] for v in order), g
+            pos = {v: i for i, v in enumerate(order)}
+            found = [(min(pos[u] for e in g.edges if v in e for u in e
+                          if u != v), v) for v in order[1:]]
+            assert found == sorted(found), g
+            assert all(p < i for i, (p, _) in enumerate(found, 1)), g
+
+    def test_every_class_on_six_vertices(self):
+        for g in iso_classes(6, 15):
+            self._check(g)
+
+    @pytest.mark.parametrize("family", ["C3+2P2", "P4+P3+P2", "3P3", "4P2+P3",
+                                        "C5+P4+2P3", "P2"])
+    def test_unions_under_relabeling(self, family):
+        g = build_pattern(parse_family(family))
+        rng = random.Random(family)
+        for extra in range(4):
+            for _ in range(10):
+                self._check(_relabeled(g, g.n + extra, rng))
+
+    def test_example(self):
+        # 0's neighbours 3 and 5 come before 3's neighbour 1; 4 is isolated
+        g = Graph(7, [(0, 3), (1, 3), (0, 5), (2, 6)])
+        assert _components(g) == ((0, 3, 5, 1), (2, 6))
+
+    def test_edgeless_graph_has_no_component(self):
+        assert _components(Graph(4)) == ()
 
 
 class TestGraphValidation:
