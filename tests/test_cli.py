@@ -21,6 +21,7 @@ from antiramsey.cli import main
 from antiramsey.graphs import Path
 from antiramsey.oracle import RangeReport
 
+import repin
 from brute import all_distinct, monochromatic, serialize_graph
 
 
@@ -226,7 +227,8 @@ class TestOracle:
         # the CLI keeps no copy of the ceiling: lifting it lifts the command
         monkeypatch.setattr(oracle, "HARD_CEILING", 8)
         js = run_json(capsys, "oracle", "--family", "C3", "--n", "8", "--no-meta")
-        assert (js["ar_exact"], js["nodes_explored"]) == (8, 9_358)
+        row = repin.pinned("C3-8")
+        assert (js["ar_exact"], js["nodes_explored"]) == (row["ar"], row["nodes"])
         code, out, err = run(capsys, "oracle", "--family", "C3", "--n", "9")
         assert (code, out, err) == (2, "", "n=9 beyond the exhaustive-search ceiling (8)\n")
 
@@ -240,7 +242,8 @@ class TestOracle:
         assert "elapsed" in js
 
     def test_progress_is_json_lines_on_stderr(self, capsys, monkeypatch):
-        # C3 on K6 takes 142 nodes: one report, then the final count
+        # C3 on K6 takes 101-199 nodes: one report, then the final count
+        row = repin.pinned("C3-6")
         argv = ("oracle", "--family", "C3", "--n", "6", "--no-meta")
         _code, quiet, _err = run(capsys, *argv)
         monkeypatch.setattr(oracle, "PROGRESS_INTERVAL", 100)
@@ -248,8 +251,8 @@ class TestOracle:
         assert code == 0
         assert out == quiet
         lines = [json.loads(line) for line in err.splitlines()]
-        assert [line["nodes"] for line in lines] == [100, 142]
-        assert lines[-1]["best"] == 5
+        assert [line["nodes"] for line in lines] == [100, row["nodes"]]
+        assert lines[-1]["best"] == row["ar"] - 1
         for line in lines:
             assert sorted(line) == ["best", "nodes", "nodes_per_s"]
             assert isinstance(line["nodes_per_s"], int)

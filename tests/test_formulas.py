@@ -29,6 +29,7 @@ from antiramsey import (
     integer_bounds,
     linear_form,
     matching_step_threshold,
+    parse_family,
     path_matching_bounds,
     q_cover,
     transfer_upper_bound,
@@ -36,6 +37,8 @@ from antiramsey import (
 )
 from antiramsey.cli import _plain
 from antiramsey.formulas import _as_int
+
+import repin
 
 
 class TestPath:
@@ -538,3 +541,28 @@ class TestValidFlagsAgainstConstructions:
         assert checked > 300
         assert broken == []
 
+
+class TestPinnedOracleValues:
+    # every row of the oracle pin table, the n = 8 and 9 rows included, with
+    # no oracle call: verify_range's mismatches rule, a bound flagged valid
+    # must hold at the pinned AR
+    @pytest.mark.parametrize("row", repin.load(), ids=repin.label)
+    def test_valid_bounds_hold_at_the_pinned_value(self, row):
+        try:
+            rep = ar_family(row["n"], parse_family(row["family"]))
+        except UnrecognizedFamilyError:
+            pytest.skip("no closed form for this family")
+        lo, hi = integer_bounds(rep)
+        ar = row["ar"]
+        assert not rep.valid.get("exact") or rep.exact == ar
+        assert not rep.valid.get("lower") or lo <= ar
+        assert not rep.valid.get("upper") or hi >= ar
+
+    # the flags at the hosts where CI settles the oracle: the ci rows and C8
+    @pytest.mark.parametrize("family,n,exact,value", [
+        ("C3+P2", 9, True, 10), ("3P2", 9, True, 10), ("C8", 8, True, 23),
+        ("P2+2P3", 8, False, 10)])
+    def test_flags_at_the_ci_hosts(self, family, n, exact, value):
+        rep = ar_family(n, parse_family(family))
+        assert rep.valid["exact"] == exact and rep.valid["lower"]
+        assert rep.exact == integer_bounds(rep)[0] == value

@@ -13,6 +13,7 @@ import pytest
 from antiramsey import (
     BoundReport,
     Cycle,
+    EdgeColoring,
     Graph,
     Matching,
     Path,
@@ -31,6 +32,7 @@ from antiramsey import (
 )
 from antiramsey.cli import _plain
 
+import repin
 from brute import iso_classes, naive_has_rainbow, placement_index, rg_strings
 
 
@@ -66,6 +68,30 @@ class TestKnownValues:
         assert max_rainbow_free(4, Matching(2)).ar_exact == 4
 
 
+@cache
+def _naive_rainbow_free(family: str, n: int, witness: str) -> bool:
+    colors = tuple(int(ch, 36) for ch in witness)
+    return not naive_has_rainbow(EdgeColoring(n, colors), build_pattern(parse_family(family)))
+
+
+_BOUND = set()  # the labels of the rows some _pinned test runs
+
+
+def _pinned(ids, **where):
+    """One test over the non-ci pin rows matching ``where``: repin.observed's
+    checks, and no rainbow copy in the witness by the naive enumerator.  Rows
+    past the given ids get their labels as ids."""
+    rows = [row for row in repin.load()
+            if not row["ci"] and all(row[key] == value for key, value in where.items())]
+    _BOUND.update(map(repin.label, rows))
+
+    def test(self, row):
+        assert repin.observed(row) == row
+        assert _naive_rainbow_free(row["family"], row["n"], row["witness"])
+    return pytest.mark.parametrize(
+        "row", rows, ids=[*ids, *map(repin.label, rows[len(ids):])])(test)
+
+
 class TestWitness:
     @pytest.mark.parametrize("n,spec", [
         (4, Cycle(3)), (5, Matching(2)), (5, Path(3)), (5, Cycle(4)),
@@ -76,72 +102,23 @@ class TestWitness:
         assert r.witness.num_colors == r.max_rainbow_free_colors
         assert find_rainbow(r.witness, spec) is None
 
-    # the ids of this and the node-count pins below keep the counts pinned
-    # before vertex 0's star was made canonical, so that re-pinning renames
-    # no test; the asserted counts are the current ones
-    @pytest.mark.parametrize("spec,nodes", [
-        (Cycle(3), 142),
-        (Matching(3), 571),
-        (TriplePath(2), 386),
-        (Cycle(4), 1_111),
-        (Path(4), 119),
-        (Union(Cycle(3), Matching(1)), 406),
-    ], ids=["spec0-375", "spec1-17295", "spec2-1281", "spec3-2388",
-            "spec4-445", "spec5-10416"])
-    def test_node_count_with_packing_pinned_at_n6(self, spec, nodes):
-        # pins the search order and every bound, the packing bound included
-        r = max_rainbow_free(6, spec)
-        assert r.conclusive
-        assert r.nodes_explored == nodes
-
-    @pytest.mark.parametrize("spec,witness", [
-        (Cycle(3), "012340000111223"),
-        (Matching(3), "012345555555555"),
-        (TriplePath(2), "012300000450600"),
-        (Cycle(4), "012000034500006"),
-        (Path(4), "012345555555555"),
-        (Union(Cycle(3), Matching(1)), "012345555555555"),
-    ])
-    def test_witness_pinned_at_n6(self, spec, witness):
-        # the first incumbent attaining the maximum in the fixed search order;
-        # a sound bound only cuts subtrees that cannot beat the incumbent, so
-        # tightening the bound must leave this coloring unchanged
-        r = max_rainbow_free(6, spec)
-        assert r.witness.colors == tuple(int(ch) for ch in witness)
-
-    @pytest.mark.parametrize("spec,ar,nodes", [
-        (Cycle(4), 9, 10_903),
-        (TriplePath(2), 8, 689),
-        (Cycle(5), 11, 9_173),
-        (Matching(3), 8, 462),
-        (Union(Cycle(3), Matching(1)), 8, 1_381),
-        (Cycle(6), 13, 76_429),
-    ], ids=["spec0-9-55962", "spec1-8-14250", "spec2-11-102419",
-            "spec3-8-160208", "spec4-8-188068", "spec5-13-76429"])
-    def test_conclusive_at_n7_within_250k_nodes(self, spec, ar, nodes):
-        r = max_rainbow_free(7, spec, node_budget=250_000)
-        assert r.conclusive
-        assert r.ar_exact == ar
-        assert r.nodes_explored == nodes
-        assert find_rainbow(r.witness, spec) is None
-        assert r.witness.num_colors == ar - 1
-
-    @pytest.mark.parametrize("spec,nodes,witness", [
-        (Cycle(3), 852, "012345000001111222334"),
-        (Path(3), 88, "010000000000000000000"),
-        (Path(4), 292, "012345666666666666666"),
-        (Matching(2), 22, "000000000000000000000"),
-        (Union(TriplePath(1), Matching(1)), 73, "010000000000000000000"),
-    ], ids=["spec0-5822-012345000001111222334", "spec1-1097-010000000000000000000",
-            "spec2-4181-012345666666666666666", "spec3-983-000000000000000000000",
-            "spec4-4561-010000000000000000000"])
-    def test_node_count_and_witness_pinned_at_n7(self, spec, nodes, witness):
-        # each pattern blocks edges in its own shape, so these pin where the
-        # packing candidates are rebuilt as well as the order and the bounds
-        r = max_rainbow_free(7, spec)
-        assert r.conclusive
-        assert r.nodes_explored == nodes
-        assert r.witness.colors == tuple(int(ch) for ch in witness)
+    # the names and ids the suite has always reported, some holding node
+    # counts of earlier versions; the pins are the rows of data/oracle_pins.json.
+    # The n = 6 rows come under two names, and repin.run runs each case once
+    test_node_count_with_packing_pinned_at_n6 = _pinned(
+        ["spec0-375", "spec1-17295", "spec2-1281", "spec3-2388", "spec4-445",
+         "spec5-10416"], n=6)
+    test_witness_pinned_at_n6 = _pinned(
+        ["spec0-012340000111223", "spec1-012345555555555", "spec2-012300000450600",
+         "spec3-012000034500006", "spec4-012345555555555", "spec5-012345555555555"],
+        n=6)
+    test_conclusive_at_n7_within_250k_nodes = _pinned(
+        ["spec0-9-55962", "spec1-8-14250", "spec2-11-102419", "spec3-8-160208",
+         "spec4-8-188068", "spec5-13-76429"], n=7, budget=250_000)
+    test_node_count_and_witness_pinned_at_n7 = _pinned(
+        ["spec0-5822-012345000001111222334", "spec1-1097-010000000000000000000",
+         "spec2-4181-012345666666666666666", "spec3-983-000000000000000000000",
+         "spec4-4561-010000000000000000000"], n=7, budget=None)
 
     def test_c4_at_n7_equals_closed_form(self):
         # the value pinned above for C4 is the cycle formula's
@@ -155,45 +132,16 @@ class TestWitness:
 
 
 class TestHostK8:
-    # the ceiling lifted for these runs only.  The witnesses are the ones the
-    # search found before vertex 0's star was made canonical (C4 then took
-    # 2,780,021 nodes, over this budget) and, for the last five rows, before
-    # the dead-edge cut and vertex 1's row rule (each then took 0.3-1.3 M
-    # nodes); a witness string holds one base-36 digit per edge.  C8 was
-    # inconclusive at 20 M nodes before the packing bound took placements
-    # with exactly two uncolored edges first, so its witness is the first
-    # one found; it settles at ar_cycle(8, 8) = 23 and needs more nodes than
-    # the class's budget, so it has its own
-    BUDGETS = {"C8": 2_000_000}
+    # the first four witnesses predate vertex 0's star rule and the next five
+    # the dead-edge cut, so those rules moved no witness; C8's is the first found
+    test_settled_at_n8 = _pinned(
+        ["C3-8-0123456000000111112222333445", "P4-3-0100000000000000000000000000",
+         "2P3-9-0123456777777777777777777777", "C4-10-0123400000056722001100100008",
+         "3P2-9", "C3+1P2-9", "P3+2P2-9", "P4+1P2-9", "P4+1P3-12", "C8-23"], n=8)
 
-    # the ids of the first four rows are those from before the node counts
-    # were pinned, so that pinning them renamed no test
-    @pytest.mark.parametrize("family,ar,nodes,witness", [
-        ("C3", 8, 9_358, "0123456000000111112222333445"),
-        ("P4", 3, 142, "0100000000000000000000000000"),
-        ("2P3", 9, 2_658, "0123456777777777777777777777"),
-        ("C4", 10, 142_780, "0123400000056722001100100008"),
-        ("3P2", 9, 913, "0123456777777777777777777777"),
-        ("C3+1P2", 9, 10_918, "0123456777777777777777777777"),
-        ("P3+2P2", 9, 3_400, "0123456777777777777777777777"),
-        ("P4+1P2", 9, 2_110, "0123456777777777777777777777"),
-        ("P4+1P3", 12, 15_340, "0123400000000567008900a00000"),
-        ("C8", 23, 1_220_644, "0123456789ab6cdef6ghi6jk6l66"),
-    ], ids=["C3-8-0123456000000111112222333445",
-            "P4-3-0100000000000000000000000000",
-            "2P3-9-0123456777777777777777777777",
-            "C4-10-0123400000056722001100100008",
-            "3P2-9", "C3+1P2-9", "P3+2P2-9", "P4+1P2-9", "P4+1P3-12", "C8-23"])
-    def test_settled_at_n8(self, family, ar, nodes, witness, monkeypatch):
-        monkeypatch.setattr(oracle, "HARD_CEILING", 8)
-        spec = parse_family(family)
-        r = max_rainbow_free(8, spec, node_budget=self.BUDGETS.get(family, 500_000))
-        assert r.conclusive
-        assert r.ar_exact == ar
-        assert r.nodes_explored == nodes
-        assert r.witness.colors == tuple(int(ch, 36) for ch in witness)
-        assert find_rainbow(r.witness, spec) is None
-        assert not naive_has_rainbow(r.witness, build_pattern(spec))
+
+def test_every_non_ci_pin_row_runs():
+    assert _BOUND == {repin.label(row) for row in repin.load() if not row["ci"]}
 
 
 def _renormalize(seq):
@@ -267,8 +215,9 @@ class TestRowRule:
 
 
 class TestWitnessWithOneEntryMemo(TestWitness):
-    """Every pin of TestWitness again, with the blocking memo capped at one
-    entry: each miss empties its table, and the search must not notice."""
+    """Every pin of TestWitness, the rows with n <= 7, again with the blocking
+    memo capped at one entry: each miss empties its table, and the search must
+    not notice."""
 
     @pytest.fixture(autouse=True)
     def one_entry_memo(self, monkeypatch):
@@ -493,7 +442,7 @@ class TestRefusalOrder:
 
 class TestBudget:
     def test_inconclusive_result_carries_lower_bound(self):
-        # C3 on K6 finishes in 142 nodes
+        # C3 on K6 takes more nodes (its row in data/oracle_pins.json)
         r = max_rainbow_free(6, Cycle(3), node_budget=100)
         assert not r.conclusive
         assert r.ar_exact is None
@@ -519,7 +468,6 @@ class TestNormalFormCompleteness:
             g = build_pattern(spec)
             best = 0
             for colors in strings:
-                from antiramsey import EdgeColoring
                 coloring = EdgeColoring(4, colors)
                 if not naive_has_rainbow(coloring, g):
                     best = max(best, coloring.num_colors)
