@@ -242,7 +242,6 @@ class TestOracle:
         assert "elapsed" in js
 
     def test_progress_is_json_lines_on_stderr(self, capsys, monkeypatch):
-        # C3 on K6 takes 101-199 nodes: one report, then the final count
         row = repin.pinned("C3-6")
         argv = ("oracle", "--family", "C3", "--n", "6", "--no-meta")
         _code, quiet, _err = run(capsys, *argv)
@@ -251,7 +250,9 @@ class TestOracle:
         assert code == 0
         assert out == quiet
         lines = [json.loads(line) for line in err.splitlines()]
-        assert [line["nodes"] for line in lines] == [100, row["nodes"]]
+        # a report each 100 nodes counted, then the final count
+        reports = [*range(100, row["nodes"] + 1, 100), row["nodes"]]
+        assert [line["nodes"] for line in lines] == reports
         assert lines[-1]["best"] == row["ar"] - 1
         for line in lines:
             assert sorted(line) == ["best", "nodes", "nodes_per_s"]

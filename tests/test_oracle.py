@@ -74,16 +74,11 @@ def _naive_rainbow_free(family: str, n: int, witness: str) -> bool:
     return not naive_has_rainbow(EdgeColoring(n, colors), build_pattern(parse_family(family)))
 
 
-_BOUND = set()  # the labels of the rows some _pinned test runs
-
-
-def _pinned(ids, **where):
-    """One test over the non-ci pin rows matching ``where``: repin.observed's
-    checks, and no rainbow copy in the witness by the naive enumerator.  Rows
-    past the given ids get their labels as ids."""
-    rows = [row for row in repin.load()
-            if not row["ci"] and all(row[key] == value for key, value in where.items())]
-    _BOUND.update(map(repin.label, rows))
+def _pinned(ids, where):
+    """One test over the non-ci pin rows whose n and budget satisfy
+    ``where``: repin.observed's checks, and no rainbow copy in the witness by
+    the naive enumerator.  Rows past the given ids get their labels as ids."""
+    rows = [row for row in repin.load() if not row["ci"] and where(row["n"], row["budget"])]
 
     def test(self, row):
         assert repin.observed(row) == row
@@ -102,23 +97,26 @@ class TestWitness:
         assert r.witness.num_colors == r.max_rainbow_free_colors
         assert find_rainbow(r.witness, spec) is None
 
-    # the names and ids the suite has always reported, some holding node
-    # counts of earlier versions; the pins are the rows of data/oracle_pins.json.
-    # The n = 6 rows come under two names, and repin.run runs each case once
+    # The pin rows run under the names and ids of the tests they replaced,
+    # some holding node counts of earlier versions, so that every id that
+    # passed before still passes; they move to one test with ids family-n a
+    # few at a time.  The n <= 6, n = 7 and n >= 8 bindings partition the
+    # rows; the n <= 6 rows come under two names, and repin.run runs each
+    # case once
     test_node_count_with_packing_pinned_at_n6 = _pinned(
         ["spec0-375", "spec1-17295", "spec2-1281", "spec3-2388", "spec4-445",
-         "spec5-10416"], n=6)
+         "spec5-10416"], lambda n, budget: n <= 6)
     test_witness_pinned_at_n6 = _pinned(
         ["spec0-012340000111223", "spec1-012345555555555", "spec2-012300000450600",
          "spec3-012000034500006", "spec4-012345555555555", "spec5-012345555555555"],
-        n=6)
+        lambda n, budget: n <= 6)
     test_conclusive_at_n7_within_250k_nodes = _pinned(
         ["spec0-9-55962", "spec1-8-14250", "spec2-11-102419", "spec3-8-160208",
-         "spec4-8-188068", "spec5-13-76429"], n=7, budget=250_000)
+         "spec4-8-188068", "spec5-13-76429"], lambda n, budget: n == 7 and budget == 250_000)
     test_node_count_and_witness_pinned_at_n7 = _pinned(
         ["spec0-5822-012345000001111222334", "spec1-1097-010000000000000000000",
          "spec2-4181-012345666666666666666", "spec3-983-000000000000000000000",
-         "spec4-4561-010000000000000000000"], n=7, budget=None)
+         "spec4-4561-010000000000000000000"], lambda n, budget: n == 7 and budget != 250_000)
 
     def test_c4_at_n7_equals_closed_form(self):
         # the value pinned above for C4 is the cycle formula's
@@ -137,11 +135,8 @@ class TestHostK8:
     test_settled_at_n8 = _pinned(
         ["C3-8-0123456000000111112222333445", "P4-3-0100000000000000000000000000",
          "2P3-9-0123456777777777777777777777", "C4-10-0123400000056722001100100008",
-         "3P2-9", "C3+1P2-9", "P3+2P2-9", "P4+1P2-9", "P4+1P3-12", "C8-23"], n=8)
-
-
-def test_every_non_ci_pin_row_runs():
-    assert _BOUND == {repin.label(row) for row in repin.load() if not row["ci"]}
+         "3P2-9", "C3+1P2-9", "P3+2P2-9", "P4+1P2-9", "P4+1P3-12", "C8-23"],
+        lambda n, budget: n >= 8)
 
 
 def _renormalize(seq):
@@ -442,11 +437,11 @@ class TestRefusalOrder:
 
 class TestBudget:
     def test_inconclusive_result_carries_lower_bound(self):
-        # C3 on K6 takes more nodes (its row in data/oracle_pins.json)
-        r = max_rainbow_free(6, Cycle(3), node_budget=100)
+        budget = repin.pinned("C3-6")["nodes"] - 1
+        r = max_rainbow_free(6, Cycle(3), node_budget=budget)
         assert not r.conclusive
         assert r.ar_exact is None
-        assert r.nodes_explored == 100
+        assert r.nodes_explored == budget
         if r.witness is not None:
             assert find_rainbow(r.witness, Cycle(3)) is None
             assert r.witness.num_colors == r.max_rainbow_free_colors
